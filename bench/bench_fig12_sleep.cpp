@@ -14,6 +14,7 @@ ScenarioDef def() {
     ScenarioDef d;
     d.name = "fig12_sleep";
     d.title = "Figure 12: fixed sleep interval sweep (TCP over duty-cycled link)";
+    d.base.topology.kind = TopologyKind::kSleepyLeaf;
     d.base.workload.kind = WorkloadKind::kSleepyBulk;
     d.base.workload.sleepy.policy = mac::PollPolicy::kFixed;
     d.base.workload.timeLimit = 40 * sim::kMinute;

@@ -13,6 +13,7 @@ ScenarioDef def() {
     ScenarioDef d;
     d.name = "fig13_fixedsleep";
     d.title = "Figure 13: RTT distribution at a fixed 2 s sleep interval";
+    d.base.topology.kind = TopologyKind::kSleepyLeaf;
     d.base.workload.kind = WorkloadKind::kSleepyBulk;
     d.base.workload.sleepy.policy = mac::PollPolicy::kFixed;
     d.base.workload.sleepy.sleepInterval = 2 * sim::kSecond;
@@ -25,16 +26,17 @@ ScenarioDef def() {
     // Custom measure: the standard sleepy row plus the 500 ms-bucket RTT
     // histogram the figure plots.
     d.measure = [](const ScenarioSpec& spec, const Point& p) {
-        const scenario::SleepyRunResult r = scenario::runSleepyBulk(spec, p.seed);
+        const scenario::FlowRunResult r = scenario::runFlows(spec, p.seed);
+        const Summary& rtt = r.flows.front().stats.rttSamples;
         scenario::MetricRow row;
-        row.set("goodput_kbps", r.goodputKbps)
-            .set("rtt_n", std::uint64_t(r.rttMs.count()))
-            .set("rtt_median_ms", r.rttMs.median())
-            .set("rtt_p10_ms", r.rttMs.percentile(10))
-            .set("rtt_p90_ms", r.rttMs.percentile(90))
-            .set("rtt_max_ms", r.rttMs.max());
+        row.set("goodput_kbps", r.flows.front().goodputKbps)
+            .set("rtt_n", std::uint64_t(rtt.count()))
+            .set("rtt_median_ms", rtt.median())
+            .set("rtt_p10_ms", rtt.percentile(10))
+            .set("rtt_p90_ms", rtt.percentile(90))
+            .set("rtt_max_ms", rtt.max());
         std::string hist;
-        for (std::size_t count : r.rttMs.histogram(0.0, 8000.0, 16)) {
+        for (std::size_t count : rtt.histogram(0.0, 8000.0, 16)) {
             if (!hist.empty()) hist += ',';
             hist += std::to_string(count);
         }

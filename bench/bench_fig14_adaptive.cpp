@@ -14,6 +14,7 @@ ScenarioDef def() {
     ScenarioDef d;
     d.name = "fig14_adaptive";
     d.title = "Figure 14 / C.2: adaptive sleep interval (smin=20 ms, smax=5 s)";
+    d.base.topology.kind = TopologyKind::kSleepyLeaf;
     d.base.workload.kind = WorkloadKind::kSleepyBulk;
     d.base.workload.sleepy.policy = mac::PollPolicy::kAdaptive;
     d.base.workload.sleepy.sminAdaptive = 20 * sim::kMillisecond;

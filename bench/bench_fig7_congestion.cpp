@@ -24,7 +24,8 @@ ScenarioDef traceDef() {
         s.workload.cwndTracer = [&trace](sim::Time t, std::uint32_t cwnd, std::uint32_t) {
             trace.emplace_back(sim::toSeconds(t), cwnd);
         };
-        const scenario::BulkRunResult r = scenario::runBulk(s, p.seed);
+        const scenario::FlowRunResult r = scenario::runFlows(s, p.seed);
+        const tcp::TcpStats& sender = r.flows.front().stats;
 
         const std::uint32_t cap = std::uint32_t(4 * scenario::resolveMss(s.workload));
         std::size_t atCap = 0;
@@ -40,9 +41,9 @@ ScenarioDef traceDef() {
         row.set("trace_points", std::uint64_t(trace.size()))
             .set("frac_at_cap",
                  trace.empty() ? 0.0 : double(atCap) / double(trace.size()))
-            .set("goodput_kbps", r.goodputKbps)
-            .set("fast_rexmits", r.fastRetransmissions)
-            .set("timeouts", r.timeouts)
+            .set("goodput_kbps", r.flows.front().goodputKbps)
+            .set("fast_rexmits", sender.fastRetransmissions)
+            .set("timeouts", sender.timeouts)
             .set("cwnd_trace", decimated)
             .set("rng_digest", r.rngDigest);
         return row;

@@ -17,6 +17,7 @@ ScenarioDef def() {
     d.name = "sec8_model";
     d.title = "Sec. 8: measured goodput vs Equation 2 (paper) and Equation 1 (Mathis)";
     d.base.topology.kind = TopologyKind::kPipe;
+    d.base.workload.mssFrames = 0;  // the pipe's 462 B MSS (no frame count)
     d.base.workload.totalBytes = 400000;
     d.base.workload.timeLimit = 60 * sim::kMinute;
     d.axes = {{"p", {0.0, 0.005, 0.01, 0.02, 0.04, 0.08, 0.12, 0.16}}};

@@ -21,6 +21,7 @@ ScenarioDef def() {
             // uIP negotiates 4-frame segments in some studies; classic
             // deployments used 1 frame. Table 7's headline rows: 1-frame MSS.
             s.workload.kind = WorkloadKind::kEmbeddedBulk;
+            s.workload.mssFrames = 0;  // the TCPlp server's MSS: 462 B
             s.workload.embeddedProfile = stack == 0 ? transport::EmbeddedProfile::kUip
                                                     : transport::EmbeddedProfile::kBlip;
             s.workload.embeddedMss = 60;

@@ -10,6 +10,9 @@
 //                  [--present-golden DIR] [--seeds a,b,c] [--quiet]
 //                  [--wall-out FILE] [--wall-check FILE] [--wall-tolerance T]
 //
+//   --list      print the selected scenarios; binds and validates every
+//               grid point and exits 1 if any sets a knob its runner
+//               ignores (see scenario::validate)
 //   --filter    run only scenarios whose name contains SUBSTR
 //   --subset    'golden': the curated fast corpus subset (scenario::goldenSubset)
 //   --jobs N    worker processes across the whole campaign (default 1, or
@@ -243,13 +246,22 @@ int main(int argc, char** argv) {
         });
     }
     if (list) {
+        // Every listed point is bound and validated: a knob its runner would
+        // silently ignore fails the listing, naming scenario, point and knob.
+        int invalid = 0;
         for (const ScenarioDef& def : defs) {
             std::size_t points = def.seeds.size();
             for (const Axis& a : def.axes) points *= a.values.size();
             std::printf("%-24s %4zu points  %s\n", def.name.c_str(), points,
                         def.title.c_str());
+            const std::vector<std::uint64_t>& seeds =
+                options.seedOverride.empty() ? def.seeds : options.seedOverride;
+            for (const std::string& error : invalidPoints(def, seeds)) {
+                std::fprintf(stderr, "invalid %s\n", error.c_str());
+                ++invalid;
+            }
         }
-        return 0;
+        return invalid == 0 ? 0 : 1;
     }
     if (defs.empty()) {
         std::fprintf(stderr, "no scenario matches filter '%s'\n", filter.c_str());

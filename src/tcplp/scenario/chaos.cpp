@@ -1,12 +1,8 @@
 #include "tcplp/scenario/chaos.hpp"
 
 #include <algorithm>
-#include <stdexcept>
-#include <string>
 
-#include "tcplp/app/reconnect.hpp"
 #include "tcplp/common/assert.hpp"
-#include "tcplp/scenario/workloads.hpp"
 
 namespace tcplp::scenario {
 
@@ -67,225 +63,40 @@ FaultTimeline installFaults(harness::Testbed& testbed, const sim::FaultPlan& pla
     phy::Channel& channel = testbed.channel();
 
     for (const sim::FaultEvent& e : timeline.events) {
+        const phy::NodeId a = phy::NodeId(e.target);
+        const phy::NodeId b = phy::NodeId(e.peer);
+        // An outage window: dark(true) at its start, dark(false) at its end.
+        const auto window = [&simulator, &e](auto dark) {
+            simulator.schedule(e.at, [dark] { dark(true); });
+            simulator.schedule(e.at + e.duration, [dark] { dark(false); });
+        };
         switch (e.kind) {
-            case sim::FaultKind::kNodeReboot: {
-                mesh::Node* node = testbed.findNode(phy::NodeId(e.target));
-                TCPLP_ASSERT(node != nullptr && "fault plan reboots an unknown node");
-                simulator.schedule(e.at,
-                                   [node, d = e.duration] { node->reboot(d); });
+            case sim::FaultKind::kNodeReboot:
+            case sim::FaultKind::kNodeFailure: {
+                mesh::Node* node = testbed.findNode(a);
+                TCPLP_ASSERT(node != nullptr && "fault plan names an unknown node");
+                if (e.kind == sim::FaultKind::kNodeReboot)
+                    simulator.schedule(e.at, [node, d = e.duration] { node->reboot(d); });
+                else
+                    simulator.schedule(e.at, [node] { node->failPermanently(); });
                 break;
             }
-            case sim::FaultKind::kLinkBlackout: {
-                const phy::NodeId a = phy::NodeId(e.target);
-                const phy::NodeId b = phy::NodeId(e.peer);
-                if (e.target == 0 && e.peer == 0) {
-                    simulator.schedule(e.at,
-                                       [&channel] { channel.setGlobalBlackout(true); });
-                    simulator.schedule(e.at + e.duration, [&channel] {
-                        channel.setGlobalBlackout(false);
-                    });
-                } else if (e.target == e.peer) {
-                    simulator.schedule(
-                        e.at, [&channel, a] { channel.setNodeBlackout(a, true); });
-                    simulator.schedule(e.at + e.duration, [&channel, a] {
-                        channel.setNodeBlackout(a, false);
-                    });
-                } else {
-                    simulator.schedule(e.at, [&channel, a, b] {
-                        channel.setLinkBlackout(a, b, true);
-                    });
-                    simulator.schedule(e.at + e.duration, [&channel, a, b] {
-                        channel.setLinkBlackout(a, b, false);
-                    });
-                }
+            case sim::FaultKind::kLinkBlackout:
+                if (a == 0 && b == 0)
+                    window([&channel](bool on) { channel.setGlobalBlackout(on); });
+                else if (a == b)
+                    window([&channel, a](bool on) { channel.setNodeBlackout(a, on); });
+                else
+                    window([&channel, a, b](bool on) { channel.setLinkBlackout(a, b, on); });
                 break;
-            }
             case sim::FaultKind::kCorruptionBurst:
                 // Corrupted frames fail FCS and are discarded at the MAC —
                 // observationally a global blackout in this PHY model.
-                simulator.schedule(e.at,
-                                   [&channel] { channel.setGlobalBlackout(true); });
-                simulator.schedule(e.at + e.duration,
-                                   [&channel] { channel.setGlobalBlackout(false); });
+                window([&channel](bool on) { channel.setGlobalBlackout(on); });
                 break;
-            case sim::FaultKind::kNodeFailure: {
-                mesh::Node* node = testbed.findNode(phy::NodeId(e.target));
-                TCPLP_ASSERT(node != nullptr && "fault plan kills an unknown node");
-                simulator.schedule(e.at, [node] { node->failPermanently(); });
-                break;
-            }
         }
     }
     return timeline;
-}
-
-ChaosBulkResult runChaosBulk(const ScenarioSpec& spec, std::uint64_t seed) {
-    const TopologySpec& t = spec.topology;
-    const WorkloadSpec& w = spec.workload;
-    const FaultSpec& f = spec.fault;
-    TCPLP_ASSERT(t.kind != TopologyKind::kPipe && t.kind != TopologyKind::kPair &&
-                 t.kind != TopologyKind::kSleepyLeaf &&
-                 "chaos bulk needs a mote->cloud radio topology");
-    TCPLP_ASSERT(w.uplink && "chaos bulk models the uplink deployment flow");
-
-    auto tb = buildTestbed(t, seed);
-    if (w.deliveryTap) tb->channel().setDeliveryTap(w.deliveryTap);
-    sim::Simulator& simulator = tb->simulator();
-    const std::uint16_t mss = resolveMss(w);
-
-    // Faults are installed before any workload object is constructed, so the
-    // schedule occupies a fixed prefix of the event space regardless of plan
-    // size. The expansion draws only from the derived fault stream.
-    FaultTimeline timeline;
-    if (f.enabled) timeline = installFaults(*tb, f.plan, seed);
-
-    mesh::Node& mote = senderMote(*tb, t);
-    tcp::TcpStack moteStack(mote);
-    tcp::TcpStack cloudStack(tb->cloud());
-
-    tcp::TcpConfig senderCfg = moteTcpConfig(mss, w.windowSegments);
-    tcp::TcpConfig receiverCfg = serverTcpConfig(mss);
-    for (tcp::TcpConfig* c : {&senderCfg, &receiverCfg}) {
-        c->sack = w.sack;
-        c->delayedAck = w.delayedAck;
-        c->timestamps = w.timestamps;
-        c->dropOutOfOrder = w.dropOutOfOrder;
-        c->ecn = w.ecn;
-        c->cc = w.cc;
-    }
-    if (f.maxRetransmits) senderCfg.maxRetransmits = *f.maxRetransmits;
-    if (f.keepAliveIdle) senderCfg.keepAliveIdle = *f.keepAliveIdle;
-
-    app::ResumableGoodputMeter meter(simulator);
-    cloudStack.listen(80, receiverCfg, [&](tcp::TcpSocket& s) {
-        s.setOnData([&](BytesView d) { meter.onData(d); });
-        s.setOnPeerFin([&s] { s.close(); });
-    });
-
-    app::ReconnectingBulkSender::Policy policy;
-    policy.reconnect = f.reconnect;
-    policy.backoffInitial = f.reconnectBackoffInitial;
-    policy.backoffMax = f.reconnectBackoffMax;
-    policy.maxReconnects = f.maxReconnects;
-    app::ReconnectingBulkSender sender(moteStack, senderCfg, tb->cloud().address(),
-                                       80, w.totalBytes, policy);
-    sender.setOnSession([&](std::size_t offset) { meter.beginSession(offset); });
-
-    // Endpoint crash semantics: if the plan ever reboots the sender mote,
-    // its TCP state dies with the power rail and the app reconnects once the
-    // node is back up (the deployed app resumes from its durable log).
-    mote.addRebootListener([&](bool isDown) {
-        if (isDown)
-            moteStack.dropAllConnectionsSilently();
-        else
-            sender.noteCrash();
-    });
-
-    // --- Recovery metrics ------------------------------------------------
-    std::uint64_t faultBytes = 0;
-    sim::Time lastProgressAt = 0;
-    const sim::Time lastOutageEnd = timeline.lastOutageEnd();
-    sim::Time recoveredAt = -1;
-    meter.setOnProgress([&](std::size_t fresh) {
-        const sim::Time now = simulator.now();
-        lastProgressAt = now;
-        if (timeline.outageActive(now)) faultBytes += fresh;
-        if (timeline.any() && recoveredAt < 0 && now >= lastOutageEnd)
-            recoveredAt = now;
-    });
-
-    // --- Progress watchdog ------------------------------------------------
-    // Periodic stall check: anchored at the later of the last fresh byte and
-    // the end of the latest completed outage, so an intentional blackout is
-    // never a stall but a flow that fails to resume after one is. The check
-    // re-schedules itself through this by-reference capture, so the function
-    // object must live at function scope — it has to outlive runUntil(), not
-    // just the arming block.
-    std::function<void()> check;
-    if (f.watchdogStall > 0) {
-        const sim::Time tick =
-            std::max<sim::Time>(f.watchdogStall / 4, sim::kSecond);
-        check = [&, tick] {
-            if (meter.bytes() >= w.totalBytes) return;  // done; watchdog retires
-            const sim::Time now = simulator.now();
-            if (!timeline.outageActive(now)) {
-                const sim::Time anchor =
-                    std::max(lastProgressAt, timeline.lastOutageEndBefore(now));
-                if (now - anchor > f.watchdogStall) {
-                    throw std::runtime_error(
-                        "chaos watchdog: no progress for " +
-                        std::to_string(sim::Time(sim::toSeconds(now - anchor))) +
-                        " s at t=" + std::to_string(sim::Time(sim::toSeconds(now))) +
-                        " s (" + std::to_string(meter.bytes()) + "/" +
-                        std::to_string(w.totalBytes) + " bytes delivered)");
-                }
-            }
-            simulator.schedule(tick, check);
-        };
-        simulator.schedule(tick, check);
-    }
-
-    sender.start();
-    simulator.runUntil(w.timeLimit);
-
-    ChaosBulkResult r;
-    r.goodputKbps = meter.goodputKbps();
-    r.bytes = meter.bytes();
-    r.contentOk = meter.contentOk();
-    r.complete = meter.bytes() >= w.totalBytes;
-    r.reconnects = sender.reconnects();
-    r.reconnectAttempts = sender.reconnectAttempts();
-    const tcp::TcpStats agg = sender.aggregateStats();
-    r.giveUps = agg.rexmitGiveUps + agg.persistGiveUps + agg.keepAliveGiveUps;
-    r.timeouts = agg.timeouts;
-    r.faultEvents = timeline.events.size();
-    r.outageSeconds = timeline.outageSeconds();
-    r.faultBytes = faultBytes;
-    r.faultGoodputKbps = r.outageSeconds > 0.0
-                             ? double(faultBytes) * 8.0 / 1000.0 / r.outageSeconds
-                             : 0.0;
-    r.timeToRecoverS = (timeline.any() && recoveredAt >= 0)
-                           ? sim::toSeconds(recoveredAt - lastOutageEnd)
-                           : -1.0;
-    r.framesTransmitted = tb->channel().framesTransmitted();
-    const MeshRouteTotals mesh = meshRouteTotals(*tb);
-    r.reroutes = mesh.reroutes;
-    r.failbacks = mesh.failbacks;
-    r.blackholeDrops = mesh.blackholeDrops;
-    r.noRouteDrops = mesh.noRouteDrops;
-    r.forwardDrops = mesh.forwardDrops;
-    r.rngDigest = simulator.rng().stateDigest();
-    return r;
-}
-
-MetricRow chaosBulkRow(const ScenarioSpec& spec, std::uint64_t seed) {
-    const ChaosBulkResult r = runChaosBulk(spec, seed);
-    MetricRow row;
-    row.set("goodput_kbps", r.goodputKbps)
-        .set("bytes", std::uint64_t(r.bytes))
-        .set("content_ok", r.contentOk)
-        .set("complete", r.complete)
-        .set("reconnects", std::int64_t(r.reconnects))
-        .set("reconnect_attempts", std::int64_t(r.reconnectAttempts))
-        .set("give_ups", r.giveUps)
-        .set("timeouts", r.timeouts)
-        .set("fault_events", r.faultEvents)
-        .set("outage_s", r.outageSeconds)
-        .set("fault_bytes", r.faultBytes)
-        .set("fault_goodput_kbps", r.faultGoodputKbps)
-        .set("recover_s", r.timeToRecoverS)
-        .set("frames_tx", r.framesTransmitted);
-    // Routing-repair keys exist only under self-healing, so the legacy chaos
-    // rows (and their golden artifacts) keep their exact schema.
-    if (spec.topology.selfHealing) {
-        row.set("reroutes", r.reroutes)
-            .set("failbacks", r.failbacks)
-            .set("blackhole_drops", r.blackholeDrops)
-            .set("no_route_drops", r.noRouteDrops)
-            .set("forward_drops", r.forwardDrops);
-    }
-    row.set("rng_digest", r.rngDigest);
-    return row;
 }
 
 }  // namespace tcplp::scenario

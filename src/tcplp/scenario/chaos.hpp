@@ -1,5 +1,6 @@
-// Chaos-campaign machinery: installs an expanded FaultPlan onto a testbed
-// and runs the fault-aware bulk workload with recovery metrics.
+// Chaos-campaign machinery: installs an expanded FaultPlan onto a testbed.
+// runFlows (workloads.cpp) adds the recovery metrics and the progress
+// watchdog of a chaos run on top.
 //
 // Determinism contract (same as every other runner): the expanded schedule
 // depends only on (plan, seed) — sim::expandFaultPlan draws from a dedicated
@@ -10,7 +11,6 @@
 #pragma once
 
 #include "tcplp/harness/testbed.hpp"
-#include "tcplp/scenario/metrics.hpp"
 #include "tcplp/scenario/spec.hpp"
 #include "tcplp/sim/fault.hpp"
 
@@ -41,41 +41,5 @@ struct FaultTimeline {
 /// before runUntil, at simulated time 0.
 FaultTimeline installFaults(harness::Testbed& testbed, const sim::FaultPlan& plan,
                             std::uint64_t seed);
-
-/// One fault-aware bulk run's structured result.
-struct ChaosBulkResult {
-    double goodputKbps = 0.0;   // over unique delivered bytes
-    std::uint64_t bytes = 0;    // unique delivered (high-water mark)
-    bool contentOk = true;
-    bool complete = false;      // every requested byte delivered
-    int reconnects = 0;         // completed re-establishments
-    int reconnectAttempts = 0;
-    std::uint64_t giveUps = 0;  // R2 + persist + keep-alive aborts
-    std::uint64_t timeouts = 0;
-    std::uint64_t faultEvents = 0;
-    double outageSeconds = 0.0;
-    std::uint64_t faultBytes = 0;       // fresh bytes landed inside outages
-    double faultGoodputKbps = 0.0;      // faultBytes over the outage union
-    /// Last outage end -> first fresh byte after it; -1 = never recovered
-    /// (or no progress was pending), 0-ish = the flow never stalled.
-    double timeToRecoverS = -1.0;
-    std::uint64_t framesTransmitted = 0;
-    /// Mesh routing-repair totals (all zero without topology.selfHealing).
-    std::uint64_t reroutes = 0;
-    std::uint64_t failbacks = 0;
-    std::uint64_t blackholeDrops = 0;
-    std::uint64_t noRouteDrops = 0;
-    std::uint64_t forwardDrops = 0;
-    std::uint64_t rngDigest = 0;
-};
-
-/// The chaos bulk runner: uplink mote -> cloud transfer with the spec's
-/// FaultSpec installed (when enabled), app-level reconnect, and the progress
-/// watchdog. A stalled flow throws std::runtime_error, which the sweep and
-/// campaign machinery convert into an attributed failure.
-ChaosBulkResult runChaosBulk(const ScenarioSpec& spec, std::uint64_t seed);
-
-/// runChaosBulk flattened into the standardized chaos metric keys.
-MetricRow chaosBulkRow(const ScenarioSpec& spec, std::uint64_t seed);
 
 }  // namespace tcplp::scenario

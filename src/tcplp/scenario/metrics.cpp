@@ -126,18 +126,6 @@ std::string toJsonLine(const MetricRow& row) {
     return out;
 }
 
-bool writeJsonLines(const std::string& path, const std::vector<MetricRow>& rows) {
-    FILE* f = std::fopen(path.c_str(), "w");
-    if (!f) return false;
-    for (const MetricRow& row : rows) {
-        const std::string line = toJsonLine(row);
-        std::fwrite(line.data(), 1, line.size(), f);
-        std::fputc('\n', f);
-    }
-    std::fclose(f);
-    return true;
-}
-
 // --- Timing-field canonicalization ----------------------------------------
 
 bool isTimingField(const std::string& key) {

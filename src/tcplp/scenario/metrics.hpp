@@ -84,9 +84,6 @@ std::string formatDouble(double v);
 /// One JSON object, no trailing newline, keys in row order.
 std::string toJsonLine(const MetricRow& row);
 
-/// Writes `rows` as JSON lines to `path` (one object per line).
-bool writeJsonLines(const std::string& path, const std::vector<MetricRow>& rows);
-
 // --- Timing-field canonicalization ----------------------------------------
 //
 // A handful of metric keys record *wall-clock* observations (worker-process

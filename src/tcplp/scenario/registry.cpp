@@ -1,5 +1,7 @@
 #include "tcplp/scenario/registry.hpp"
 
+#include <stdexcept>
+
 #include "tcplp/common/assert.hpp"
 
 namespace tcplp::scenario {
@@ -12,6 +14,11 @@ Registry& Registry::instance() {
 void Registry::add(ScenarioDef def) {
     TCPLP_ASSERT(!def.name.empty());
     TCPLP_ASSERT(find(def.name) == nullptr && "duplicate scenario name");
+    try {
+        validate(def.base);
+    } catch (const std::invalid_argument& e) {
+        throw std::invalid_argument("scenario '" + def.name + "' base spec: " + e.what());
+    }
     defs_.push_back(std::move(def));
 }
 

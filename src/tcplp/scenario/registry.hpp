@@ -70,6 +70,8 @@ class Registry {
 public:
     static Registry& instance();
 
+    /// Registers `def`; throws std::invalid_argument (scenario named) if
+    /// validate() rejects its base spec.
     void add(ScenarioDef def);
     const ScenarioDef* find(const std::string& name) const;
     const std::vector<ScenarioDef>& all() const { return defs_; }

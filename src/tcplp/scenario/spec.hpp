@@ -32,7 +32,7 @@ enum class TopologyKind : std::uint8_t {
     kOffice,      // 15-node Fig. 3 tree (§9)
     kGrid,        // n-node dense grid, border router in the corner
     kStar,        // border router + n leaves one hop out
-    kSleepyLeaf,  // one duty-cycled leaf on the border router (Appendix C)
+    kSleepyLeaf,  // one duty-cycled leaf (WorkloadSpec::sleepy) on the border router
     kPipe,        // in-memory lossy pipe, no radio (§8 model validation)
 };
 
@@ -122,12 +122,13 @@ enum class WorkloadKind : std::uint8_t {
     kBulk,          // single saturating TCP transfer (the §6/§7 workhorse)
     kTwoFlow,       // two simultaneous flows sharing the path (Table 9)
     kMultiFlow,     // n concurrent flows, mixed directions (office/grid)
-    kSleepyBulk,    // bulk over a duty-cycled link (Appendix C)
+    kSleepyBulk,    // bulk + RTT percentiles and idle tail (Appendix C, kSleepyLeaf)
     kEmbeddedBulk,  // uIP/BLIP stop-and-wait baseline (Table 7)
     kAnemometer,    // §9 sensor application study
 };
 
-/// One flow of a kMultiFlow workload.
+/// One TCP flow: kMultiFlow lists them; runFlows derives the other radio
+/// workloads' flows from the topology.
 struct FlowSpec {
     phy::NodeId node = 0;  // mesh endpoint; the peer is the cloud host
     bool uplink = true;    // node -> cloud, else cloud -> node
@@ -143,7 +144,8 @@ struct WorkloadSpec {
     std::size_t mssFrames = 5;
     std::uint16_t mssBytes = 0;
     std::size_t windowSegments = 4;
-    /// kPair receiver window; 0 = same as windowSegments.
+    /// Window of a mote-side receiver (kPair's peer, a downlink mote);
+    /// 0 = same as windowSegments.
     std::size_t recvWindowSegments = 0;
     sim::Time timeLimit = 40 * sim::kMinute;
 
@@ -185,9 +187,10 @@ struct WorkloadSpec {
     transport::EmbeddedProfile embeddedProfile = transport::EmbeddedProfile::kUip;
     std::uint16_t embeddedMss = 60;
 
-    // kSleepyBulk (Appendix C).
+    // Appendix C: kSleepyLeaf's poll policy; kSleepyBulk's quiet tail that
+    // measures the idle duty cycle.
     mac::SleepyConfig sleepy{};
-    sim::Time idleTail = 0;  // quiet tail to measure idle duty cycle
+    sim::Time idleTail = 0;
 
     // kAnemometer (§9): the full option block, seed overridden per point.
     harness::AnemometerOptions anemometer{};
@@ -199,8 +202,8 @@ struct WorkloadSpec {
 
 /// Fault-injection layer of a scenario (the chaos campaigns).
 ///
-/// `chaos` marks the scenario as a chaos scenario: bulk runs go through the
-/// fault-aware runner (scenario/chaos.hpp) — recovery metrics, reconnect
+/// `chaos` marks the scenario as a chaos scenario: runFlows adds the
+/// fault-aware machinery (scenario/chaos.hpp) — recovery metrics, reconnect
 /// policy, progress watchdog — even when no faults are injected, so the
 /// fault=0 baseline rows share the chaos schema. `enabled` arms the plan and
 /// is bound from the canonical `fault` sweep axis (0 = clean baseline,
@@ -237,6 +240,14 @@ struct ScenarioSpec {
     WorkloadSpec workload{};
     FaultSpec fault{};
 };
+
+/// Rejects a spec that sets a knob its runner would silently ignore: throws
+/// std::invalid_argument naming the knob and the runner. Every field of
+/// TopologySpec, WorkloadSpec and FaultSpec is either read by the runner
+/// the spec selects or, when set off its default, rejected here (the
+/// knob-by-runner table is in docs/SCENARIOS.md). Called on each
+/// registered base spec and on every point runScenario runs.
+void validate(const ScenarioSpec& spec);
 
 /// Canonical mapping of the `fault` sweep axis: 0 = clean baseline,
 /// 1 = inject the plan. Bind hooks use this so every chaos scenario spells

@@ -1,6 +1,7 @@
 #include "tcplp/scenario/sweep.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "tcplp/common/assert.hpp"
 #include "tcplp/scenario/shard.hpp"
@@ -103,6 +104,22 @@ std::string describePoint(const ScenarioDef& def, const Point& point,
     for (const auto& [axis, value] : point.values)
         out += axis + "=" + formatDouble(value) + ", ";
     out += "seed=" + std::to_string(point.seed) + ")";
+    return out;
+}
+
+std::vector<std::string> invalidPoints(const ScenarioDef& def,
+                                       const std::vector<std::uint64_t>& seeds) {
+    std::vector<std::string> out;
+    const std::vector<Point> points = expandPoints(def, seeds);
+    for (const Point& point : points) {
+        ScenarioSpec spec = def.base;
+        if (def.bind) def.bind(spec, point);
+        try {
+            validate(spec);
+        } catch (const std::invalid_argument& e) {
+            out.push_back(describePoint(def, point, points.size()) + ": " + e.what());
+        }
+    }
     return out;
 }
 

@@ -61,6 +61,11 @@ MetricRow runPointRow(const ScenarioDef& def, const Point& point);
 std::string describePoint(const ScenarioDef& def, const Point& point,
                           std::size_t totalPoints);
 
+/// Binds every expanded grid point of `def` and validates the result; one
+/// "<describePoint>: <validate error>" line per rejected point.
+std::vector<std::string> invalidPoints(const ScenarioDef& def,
+                                       const std::vector<std::uint64_t>& seeds);
+
 SweepResult runSweep(const ScenarioDef& def, const SweepOptions& options = {});
 
 }  // namespace tcplp::scenario

@@ -1,9 +1,13 @@
 #include "tcplp/scenario/workloads.hpp"
 
 #include <algorithm>
+#include <deque>
 #include <functional>
+#include <optional>
+#include <stdexcept>
 
 #include "tcplp/app/bulk.hpp"
+#include "tcplp/app/reconnect.hpp"
 #include "tcplp/common/assert.hpp"
 #include "tcplp/harness/pipe.hpp"
 #include "tcplp/lowpan/frag.hpp"
@@ -45,6 +49,33 @@ std::uint16_t mssForFrames(std::size_t frames) {
 std::uint16_t resolveMss(const WorkloadSpec& w) {
     if (w.mssFrames > 0) return mssForFrames(w.mssFrames);
     return w.mssBytes > 0 ? w.mssBytes : 462;
+}
+
+tcp::TcpConfig endpointConfig(const WorkloadSpec& w, const EndpointRole& role) {
+    const std::size_t segments =
+        !role.sender && w.recvWindowSegments > 0 ? w.recvWindowSegments : w.windowSegments;
+    tcp::TcpConfig c =
+        role.mote ? moteTcpConfig(role.mss, segments) : serverTcpConfig(role.mss);
+    c.sack = w.sack;
+    c.delayedAck = w.delayedAck;
+    c.timestamps = w.timestamps;
+    c.dropOutOfOrder = w.dropOutOfOrder;
+    c.ecn = w.ecn;
+    c.cc = w.cc;
+    // High-BDP knobs (all default off). With autotuning the receive buffer
+    // starts at its profile size and earns its way up to the budget;
+    // without it the static override opens it.
+    c.windowScaling = w.windowScaling;
+    if (role.sender) {
+        if (w.bdpBufferBytes > 0) c.sendBufferBytes = w.bdpBufferBytes;
+    } else if (w.recvAutotuneBudgetBytes > 0) {
+        c.recvBufferMaxBytes = role.recvBudgetBytes > 0
+                                   ? std::min(w.recvAutotuneBudgetBytes, role.recvBudgetBytes)
+                                   : w.recvAutotuneBudgetBytes;
+    } else if (w.bdpBufferBytes > 0) {
+        c.recvBufferBytes = w.bdpBufferBytes;
+    }
+    return c;
 }
 
 namespace {
@@ -89,25 +120,65 @@ harness::TestbedConfig testbedConfigFor(const TopologySpec& t, std::uint64_t see
     return cfg;
 }
 
-/// Applies the workload's high-BDP knobs (RFC 7323 scaling, static buffer
-/// override, receive autotuning) to a sender/receiver config pair.
-/// `nodeBudgetBytes` is the receiving node's NodeConfig::tcpRecvBudgetBytes;
-/// when set it clamps the workload-requested autotune budget. All three
-/// knobs default off, leaving every legacy config byte-identical.
-void applyHighBdp(const WorkloadSpec& w, tcp::TcpConfig& sender,
-                  tcp::TcpConfig& receiver, std::size_t nodeBudgetBytes) {
-    if (w.bdpBufferBytes > 0) {
-        sender.sendBufferBytes = w.bdpBufferBytes;
-        // With autotuning the receive buffer starts at its profile size and
-        // earns its way up; without it the override opens it statically.
-        if (w.recvAutotuneBudgetBytes == 0) receiver.recvBufferBytes = w.bdpBufferBytes;
+/// Appendix C rig: one duty-cycled leaf (node 10) on the border router.
+std::unique_ptr<harness::Testbed> sleepyLeafTestbed(const harness::TestbedConfig& cfg,
+                                                    const mac::SleepyConfig& policy) {
+    auto tb = std::make_unique<harness::Testbed>(cfg);
+    tb->addBorderRouterAndCloud(1, {0.0, 0.0}, cfg.nodeDefaults);
+    mesh::NodeConfig lc = cfg.nodeDefaults;
+    lc.role = mesh::Role::kLeaf;
+    lc.sleepyConfig = policy;
+    lc.macConfig.sleepDuringRetryDelay = true;
+    mesh::Node& leaf = tb->addNode(10, {cfg.nodeSpacingMeters, 0.0}, lc);
+    leaf.setParent(1);
+    tb->borderRouter().adoptSleepyChild(10);
+    tb->borderRouter().addRoute(10, 10);
+    leaf.start();
+    return tb;
+}
+
+/// Appendix A's second source for kTwoFlow: node 99, a sibling of the
+/// line's last node attached to the same relay (or to the border router
+/// for one hop).
+void addSiblingSource(harness::Testbed& tb, const TopologySpec& t, std::uint64_t seed) {
+    const std::size_t hops = t.hops;
+    const phy::NodeId attach = hops == 1 ? 1 : phy::NodeId(9 + hops - 1);
+    mesh::NodeConfig nc = testbedConfigFor(t, seed).nodeDefaults;
+    nc.role = mesh::Role::kRouter;
+    mesh::Node* relay = tb.findNode(attach);
+    mesh::Node& second =
+        tb.addNode(99, {relay->radio()->position().x + 8.0,
+                        relay->radio()->position().y + 6.0},
+                   nc);
+    second.setDefaultRoute(attach);
+    relay->addRoute(99, 99);
+    tb.borderRouter().addRoute(99, hops == 1 ? phy::NodeId(99) : phy::NodeId(10));
+    for (std::size_t i = 1; i + 1 < hops; ++i)
+        tb.findNode(phy::NodeId(9 + i))->addRoute(99, phy::NodeId(9 + i + 1));
+    if (hops > 1) tb.findNode(attach)->addRoute(99, 99);
+}
+
+/// The mote end of a single-flow workload: the far end of the line, the
+/// first of the pair, the farthest grid/star/office node from the border
+/// router, or the sleepy leaf.
+phy::NodeId moteId(const TopologySpec& t) {
+    switch (t.kind) {
+        case TopologyKind::kLine: return phy::NodeId(9 + t.hops);
+        case TopologyKind::kGrid:
+        case TopologyKind::kStar: return phy::NodeId(t.nodes);
+        case TopologyKind::kOffice: return 15;
+        default: return 10;  // kPair's first mote, kSleepyLeaf's leaf
     }
-    if (w.windowScaling) sender.windowScaling = receiver.windowScaling = true;
-    if (w.recvAutotuneBudgetBytes > 0) {
-        std::size_t budget = w.recvAutotuneBudgetBytes;
-        if (nodeBudgetBytes > 0) budget = std::min(budget, nodeBudgetBytes);
-        receiver.recvBufferMaxBytes = budget;
-    }
+}
+
+/// The flows a workload runs: the spec's FlowSpecs for kMultiFlow, else one
+/// transfer from the topology's mote (plus node 99's for kTwoFlow).
+std::vector<FlowSpec> flowsOf(const ScenarioSpec& s) {
+    const WorkloadSpec& w = s.workload;
+    if (w.kind == WorkloadKind::kMultiFlow) return w.flows;
+    std::vector<FlowSpec> flows{{moteId(s.topology), w.uplink, w.totalBytes}};
+    if (w.kind == WorkloadKind::kTwoFlow) flows.push_back({99, w.uplink, w.totalBytes});
+    return flows;
 }
 
 /// Streams the cwnd tracer's samples into the summary stats CcDynamics
@@ -160,19 +231,72 @@ double jainIndex(const std::vector<double>& xs) {
     return sum * sum / (double(xs.size()) * sumSq);
 }
 
-}  // namespace
-
-mesh::Node& senderMote(harness::Testbed& tb, const TopologySpec& t) {
-    switch (t.kind) {
-        case TopologyKind::kLine: return *tb.findNode(phy::NodeId(9 + t.hops));
-        case TopologyKind::kPair: return tb.node(0);
-        case TopologyKind::kGrid:
-        case TopologyKind::kStar: return *tb.findNode(phy::NodeId(t.nodes));
-        case TopologyKind::kOffice: return *tb.findNode(15);
-        default: TCPLP_ASSERT(false && "no mote endpoint for this topology");
-    }
-    return tb.node(0);
+double kbpsOver(std::size_t bytes, sim::Time duration) {
+    return double(bytes) * 8.0 / 1000.0 / sim::toSeconds(duration);
 }
+
+/// The chaos half of a run (see FaultSpec): the installed fault schedule,
+/// the recovery metrics every meter's fresh bytes feed, and the progress
+/// watchdog. Armed before any flow exists, so the fault events and the
+/// first watchdog check occupy a fixed prefix of the event space.
+struct ChaosMonitor {
+    ChaosMonitor(sim::Simulator& s, const FaultSpec& f, std::size_t total)
+        : simulator(s), fault(f), totalBytes(total) {}
+    ChaosMonitor(const ChaosMonitor&) = delete;  // scheduled checks hold `this`
+
+    sim::Simulator& simulator;
+    const FaultSpec& fault;
+    std::size_t totalBytes;
+    FaultTimeline timeline{};
+    std::size_t delivered = 0;
+    std::uint64_t faultBytes = 0;
+    sim::Time lastProgressAt = 0;
+    sim::Time recoveredAt = -1;
+
+    void arm(harness::Testbed& tb, std::uint64_t seed) {
+        if (fault.enabled) timeline = installFaults(tb, fault.plan, seed);
+        if (fault.watchdogStall > 0) simulator.schedule(tick(), [this] { check(); });
+    }
+    sim::Time tick() const { return std::max<sim::Time>(fault.watchdogStall / 4, sim::kSecond); }
+
+    void onProgress(std::size_t fresh) {
+        const sim::Time now = simulator.now();
+        delivered += fresh;
+        lastProgressAt = now;
+        if (timeline.outageActive(now)) faultBytes += fresh;
+        if (timeline.any() && recoveredAt < 0 && now >= timeline.lastOutageEnd())
+            recoveredAt = now;
+    }
+
+    /// Stall check anchored at the later of the last fresh byte and the end
+    /// of the latest completed outage: an intentional blackout is never a
+    /// stall, but a flow that fails to resume after one is. The sweep and
+    /// campaign machinery attribute the exception to the run point.
+    void check() {
+        if (delivered >= totalBytes) return;  // done; the watchdog retires
+        const sim::Time now = simulator.now();
+        const sim::Time anchor = std::max(lastProgressAt, timeline.lastOutageEndBefore(now));
+        if (!timeline.outageActive(now) && now - anchor > fault.watchdogStall) {
+            throw std::runtime_error(
+                "chaos watchdog: no progress for " +
+                std::to_string(sim::Time(sim::toSeconds(now - anchor))) + " s at t=" +
+                std::to_string(sim::Time(sim::toSeconds(now))) + " s (" +
+                std::to_string(delivered) + "/" + std::to_string(totalBytes) +
+                " bytes delivered)");
+        }
+        simulator.schedule(tick(), [this] { check(); });
+    }
+
+    void finish(FlowRunResult& r) const {
+        r.faultEvents = timeline.events.size();
+        r.outageSeconds = timeline.outageSeconds();
+        r.faultBytes = faultBytes;
+        if (timeline.any() && recoveredAt >= 0)
+            r.timeToRecoverS = sim::toSeconds(recoveredAt - timeline.lastOutageEnd());
+    }
+};
+
+}  // namespace
 
 ScenarioSpec officeMultiflowSpec(sim::Time duration) {
     ScenarioSpec s;
@@ -225,8 +349,8 @@ ScenarioSpec cityScaleSpec(sim::Time duration, std::size_t nodes) {
     return s;
 }
 
-std::unique_ptr<harness::Testbed> buildTestbed(const TopologySpec& t,
-                                               std::uint64_t seed) {
+std::unique_ptr<harness::Testbed> buildTestbed(const TopologySpec& t, std::uint64_t seed,
+                                               const mac::SleepyConfig& leafPolicy) {
     const harness::TestbedConfig cfg = testbedConfigFor(t, seed);
     std::unique_ptr<harness::Testbed> tb;
     switch (t.kind) {
@@ -235,9 +359,8 @@ std::unique_ptr<harness::Testbed> buildTestbed(const TopologySpec& t,
         case TopologyKind::kOffice: tb = harness::Testbed::office(cfg); break;
         case TopologyKind::kGrid: tb = harness::Testbed::grid(t.nodes, cfg); break;
         case TopologyKind::kStar: tb = harness::Testbed::star(t.nodes, cfg); break;
-        case TopologyKind::kSleepyLeaf:
-        case TopologyKind::kPipe:
-            TCPLP_ASSERT(false && "topology built by its workload runner");
+        case TopologyKind::kSleepyLeaf: tb = sleepyLeafTestbed(cfg, leafPolicy); break;
+        case TopologyKind::kPipe: TCPLP_ASSERT(false && "kPipe has no testbed");
     }
     if (tb != nullptr && t.legacyDatapath) {
         // Pre-PR engine, for A/B speedup rows: seed-era linear-scan delivery
@@ -262,284 +385,138 @@ MeshRouteTotals meshRouteTotals(const harness::Testbed& tb) {
     return m;
 }
 
-BulkRunResult runBulk(const ScenarioSpec& spec, std::uint64_t seed) {
+FlowRunResult runFlows(const ScenarioSpec& spec, std::uint64_t seed) {
     const TopologySpec& t = spec.topology;
     const WorkloadSpec& w = spec.workload;
-    auto tb = buildTestbed(t, seed);
-    if (w.deliveryTap) tb->channel().setDeliveryTap(w.deliveryTap);
-    const std::uint16_t mss = resolveMss(w);
-
-    const bool pair = t.kind == TopologyKind::kPair;
-    mesh::Node& mote = senderMote(*tb, t);
-    mesh::Node& peer = pair ? tb->node(1) : tb->cloud();
-    tcp::TcpStack moteStack(mote);
-    tcp::TcpStack peerStack(peer);
-
-    app::GoodputMeter meter(tb->simulator());
-    tcp::TcpStack& senderStack = w.uplink || pair ? moteStack : peerStack;
-    tcp::TcpStack& receiverStack = w.uplink || pair ? peerStack : moteStack;
-    tcp::TcpConfig senderCfg, receiverCfg;
-    if (pair) {
-        // §6.3 node-to-node: mote profiles on both ends, receiver window
-        // independently sized.
-        senderCfg = moteTcpConfig(mss, w.windowSegments);
-        receiverCfg = moteTcpConfig(
-            mss, w.recvWindowSegments ? w.recvWindowSegments : w.windowSegments);
-    } else {
-        senderCfg = w.uplink ? moteTcpConfig(mss, w.windowSegments) : serverTcpConfig(mss);
-        receiverCfg = w.uplink ? serverTcpConfig(mss) : moteTcpConfig(mss, w.windowSegments);
-    }
-    for (tcp::TcpConfig* c : {&senderCfg, &receiverCfg}) {
-        c->sack = w.sack;
-        c->delayedAck = w.delayedAck;
-        c->timestamps = w.timestamps;
-        c->dropOutOfOrder = w.dropOutOfOrder;
-        c->ecn = w.ecn;
-        c->cc = w.cc;
-    }
-    mesh::Node& receiverNode = w.uplink || pair ? peer : mote;
-    applyHighBdp(w, senderCfg, receiverCfg, receiverNode.config().tcpRecvBudgetBytes);
-
-    receiverStack.listen(80, receiverCfg, [&](tcp::TcpSocket& s) {
-        s.setOnData([&](BytesView d) { meter.onData(d); });
-        s.setOnPeerFin([&s] { s.close(); });
-    });
-    tcp::TcpSocket& sender = senderStack.createSocket(senderCfg);
-    CwndProbe probe;
-    if (t.ccMetrics) {
-        probe.attach(sender, w.cwndTracer);
-    } else if (w.cwndTracer) {
-        sender.setCwndTracer(w.cwndTracer);
-    }
-    app::BulkSender bulk(sender, w.totalBytes);
-    const ip6::Address dst = w.uplink || pair ? peer.address() : mote.address();
-    sender.connect(dst, 80);
-    tb->simulator().runUntil(w.timeLimit);
-
-    BulkRunResult r;
-    r.goodputKbps = meter.goodputKbps();
-    r.bytes = meter.bytes();
-    r.contentOk = meter.contentOk();
-    r.rttMedianMs = sender.stats().rttSamples.median();
-    r.framesTransmitted = tb->channel().framesTransmitted();
-    r.timeouts = sender.stats().timeouts;
-    r.fastRetransmissions = sender.stats().fastRetransmissions;
-    const auto sent = sender.stats().segsSent;
-    const auto rexmit = sender.stats().retransmissions;
-    r.segmentLoss = sent > 0 ? double(rexmit) / double(sent) : 0.0;
-    r.mesh = meshRouteTotals(*tb);
-    if (t.ccMetrics) r.cc = probe.finish(sender);
-    r.rngDigest = tb->simulator().rng().stateDigest();
-    return r;
-}
-
-SleepyRunResult runSleepyBulk(const ScenarioSpec& spec, std::uint64_t seed) {
-    const WorkloadSpec& w = spec.workload;
-    // Appendix C rig: one duty-cycled leaf on the border router. Built
-    // inline (not via buildTestbed) because the leaf's sleepy policy is a
-    // workload knob; construction order matches the pre-refactor path.
-    harness::TestbedConfig cfg;
-    cfg.seed = seed;
-    cfg.scheduler = spec.topology.scheduler;
-    auto tb = std::make_unique<harness::Testbed>(cfg);
-
-    mesh::NodeConfig rc = cfg.nodeDefaults;
-    tb->addBorderRouterAndCloud(1, {0.0, 0.0}, rc);
-
-    mesh::NodeConfig lc = cfg.nodeDefaults;
-    lc.role = mesh::Role::kLeaf;
-    lc.sleepyConfig = w.sleepy;
-    lc.macConfig.sleepDuringRetryDelay = true;
-    mesh::Node& leaf = tb->addNode(10, {10.0, 0.0}, lc);
-    leaf.setParent(1);
-    tb->borderRouter().adoptSleepyChild(10);
-    tb->borderRouter().addRoute(10, 10);
-    leaf.start();
-    if (w.deliveryTap) tb->channel().setDeliveryTap(w.deliveryTap);
-
-    const std::uint16_t mss = resolveMss(w);
-    tcp::TcpStack leafStack(leaf);
-    tcp::TcpStack cloudStack(tb->cloud());
-
-    app::GoodputMeter meter(tb->simulator());
-    tcp::TcpStack& senderStack = w.uplink ? leafStack : cloudStack;
-    tcp::TcpStack& receiverStack = w.uplink ? cloudStack : leafStack;
-    tcp::TcpConfig senderCfg =
-        w.uplink ? moteTcpConfig(mss, w.windowSegments) : serverTcpConfig(mss);
-    tcp::TcpConfig receiverCfg =
-        w.uplink ? serverTcpConfig(mss) : moteTcpConfig(mss, w.windowSegments);
-    senderCfg.cc = receiverCfg.cc = w.cc;
-
-    receiverStack.listen(80, receiverCfg, [&](tcp::TcpSocket& s) {
-        s.setOnData([&](BytesView d) { meter.onData(d); });
-        s.setOnPeerFin([&s] { s.close(); });
-    });
-    tcp::TcpSocket& sender = senderStack.createSocket(senderCfg);
-    app::BulkSender bulk(sender, w.totalBytes);
-    sender.connect(w.uplink ? tb->cloud().address() : leaf.address(), 80);
-    tb->simulator().runUntil(w.timeLimit);
-
-    SleepyRunResult r;
-    r.goodputKbps = meter.goodputKbps();
-    r.bytes = meter.bytes();
-    r.rttMs = sender.stats().rttSamples;
-
-    if (w.idleTail > 0) {
-        phy::Radio* radio = leaf.radio();
-        radio->energy().resetWindow(radio->state(), tb->simulator().now());
-        tb->simulator().runUntil(tb->simulator().now() + w.idleTail);
-        r.idleRadioDc =
-            radio->energy().radioDutyCycle(radio->state(), tb->simulator().now());
-    }
-    r.rngDigest = tb->simulator().rng().stateDigest();
-    return r;
-}
-
-TwoFlowResult runTwoFlow(const ScenarioSpec& spec, std::uint64_t seed) {
-    const TopologySpec& t = spec.topology;
-    const WorkloadSpec& w = spec.workload;
-    const std::size_t hops = t.hops;
-    auto tb = buildTestbed(t, seed);
-    if (w.deliveryTap) tb->channel().setDeliveryTap(w.deliveryTap);
-
-    // Second source: a sibling of the last node, attached to the same relay
-    // (or to the border router for one hop) — the Appendix A setup.
-    const phy::NodeId firstSrc = phy::NodeId(9 + hops);
-    const phy::NodeId attach = hops == 1 ? 1 : phy::NodeId(9 + hops - 1);
-    mesh::NodeConfig nc = testbedConfigFor(t, seed).nodeDefaults;
-    nc.role = mesh::Role::kRouter;
-    mesh::Node* relay = tb->findNode(attach);
-    mesh::Node& second =
-        tb->addNode(99, {relay->radio()->position().x + 8.0,
-                         relay->radio()->position().y + 6.0},
-                    nc);
-    second.setDefaultRoute(attach);
-    relay->addRoute(99, 99);
-    tb->borderRouter().addRoute(99, hops == 1 ? phy::NodeId(99) : phy::NodeId(10));
-    for (std::size_t i = 1; i + 1 < hops; ++i)
-        tb->findNode(phy::NodeId(9 + i))->addRoute(99, phy::NodeId(9 + i + 1));
-    if (hops > 1) tb->findNode(attach)->addRoute(99, 99);
-
-    const std::uint16_t mss = resolveMss(w);
-    tcp::TcpConfig moteCfg = moteTcpConfig(mss, w.windowSegments);
-    moteCfg.ecn = w.ecn;
-    moteCfg.cc = w.cc;
-    tcp::TcpConfig servCfg = serverTcpConfig(mss);
-    servCfg.ecn = w.ecn;
-    servCfg.cc = w.cc;
-
-    tcp::TcpStack stackA(*tb->findNode(firstSrc));
-    tcp::TcpStack stackB(second);
-    tcp::TcpStack cloud(tb->cloud());
-
-    app::GoodputMeter meterA(tb->simulator()), meterB(tb->simulator());
-    cloud.listen(80, servCfg, [&](tcp::TcpSocket& s) {
-        s.setOnData([&](BytesView d) { meterA.onData(d); });
-    });
-    cloud.listen(81, servCfg, [&](tcp::TcpSocket& s) {
-        s.setOnData([&](BytesView d) { meterB.onData(d); });
-    });
-
-    tcp::TcpSocket& a = stackA.createSocket(moteCfg);
-    tcp::TcpSocket& b = stackB.createSocket(moteCfg);
-    CwndProbe probeA, probeB;
-    if (t.ccMetrics) {
-        probeA.attach(a, {});
-        probeB.attach(b, {});
-    }
-    app::BulkSender sendA(a, w.totalBytes);
-    app::BulkSender sendB(b, w.totalBytes);
-    a.connect(tb->cloud().address(), 80);
-    b.connect(tb->cloud().address(), 81);
-    tb->simulator().runUntil(w.timeLimit);
-
-    TwoFlowResult r;
-    const double secs = sim::toSeconds(w.timeLimit);
-    r.goodputA = double(meterA.bytes()) * 8.0 / 1000.0 / secs;
-    r.goodputB = double(meterB.bytes()) * 8.0 / 1000.0 / secs;
-    r.rttA = a.stats().rttSamples.median();
-    r.rttB = b.stats().rttSamples.median();
-    r.lossA = a.stats().segsSent ? 100.0 * double(a.stats().retransmissions) /
-                                       double(a.stats().segsSent)
-                                 : 0.0;
-    r.lossB = b.stats().segsSent ? 100.0 * double(b.stats().retransmissions) /
-                                       double(b.stats().segsSent)
-                                 : 0.0;
-    if (t.ccMetrics) {
-        r.ccA = probeA.finish(a);
-        r.ccB = probeB.finish(b);
-    }
-    r.rngDigest = tb->simulator().rng().stateDigest();
-    return r;
-}
-
-MultiFlowResult runMultiFlow(const ScenarioSpec& spec, std::uint64_t seed) {
-    const WorkloadSpec& w = spec.workload;
-    TCPLP_ASSERT(!w.flows.empty() && "kMultiFlow needs explicit FlowSpecs");
+    const FaultSpec& f = spec.fault;
+    const std::vector<FlowSpec> flows = flowsOf(spec);
+    if (flows.empty()) throw std::invalid_argument("workload.flows: kMultiFlow needs flows");
     // Process-wide counter baselines (SmallFn / PacketBuffer statics), taken
     // before the testbed exists so the deltas cover the whole run.
     const std::uint64_t smallFnBase = sim::SmallFn::heapFallbacks();
     const std::uint64_t prependBase = PacketBuffer::stats().prependFallbacks;
-    auto tb = buildTestbed(spec.topology, seed);
+    auto tb = buildTestbed(t, seed, w.sleepy);
+    if (w.kind == WorkloadKind::kTwoFlow) addSiblingSource(*tb, t, seed);
     if (w.deliveryTap) tb->channel().setDeliveryTap(w.deliveryTap);
+    sim::Simulator& simulator = tb->simulator();
     const std::uint16_t mss = resolveMss(w);
 
-    struct Rig {
-        std::unique_ptr<tcp::TcpStack> moteStack;
-        std::unique_ptr<app::GoodputMeter> meter;
-        std::unique_ptr<app::BulkSender> bulk;
-        tcp::TcpSocket* sender = nullptr;
-    };
-    tcp::TcpStack cloudStack(tb->cloud());
-    std::vector<Rig> rigs;
-    rigs.reserve(w.flows.size());
+    // Faults and the watchdog come first, so they occupy a fixed prefix of
+    // the event space regardless of the plan's size.
+    std::optional<ChaosMonitor> chaos;
+    if (f.chaos) {
+        std::size_t total = 0;
+        for (const FlowSpec& flow : flows) total += flow.totalBytes;
+        chaos.emplace(simulator, f, total);
+        chaos->arm(*tb, seed);
+    }
 
-    for (std::size_t i = 0; i < w.flows.size(); ++i) {
-        const FlowSpec& f = w.flows[i];
-        mesh::Node* node = tb->findNode(f.node);
-        TCPLP_ASSERT(node != nullptr && "FlowSpec names an unknown node");
-        Rig rig;
-        rig.moteStack = std::make_unique<tcp::TcpStack>(*node);
-        rig.meter = std::make_unique<app::GoodputMeter>(tb->simulator());
+    struct Rig {
+        Rig() = default;
+        Rig(Rig&&) = delete;  // the sender's cwnd tracer holds &probe
+        std::unique_ptr<tcp::TcpStack> moteStack, peerStack;  // peerStack: kPair only
+        std::unique_ptr<app::ResumableGoodputMeter> meter;
+        tcp::TcpSocket* sender = nullptr;  // plain flows
+        std::unique_ptr<app::BulkSender> bulk;
+        std::unique_ptr<app::ReconnectingBulkSender> reconnecting;  // chaos flows
+        CwndProbe probe;
+    };
+    const bool pair = t.kind == TopologyKind::kPair;
+    std::unique_ptr<tcp::TcpStack> cloudStack;
+    if (!pair) cloudStack = std::make_unique<tcp::TcpStack>(tb->cloud());
+    std::deque<Rig> rigs;  // grows without moving its elements
+
+    for (std::size_t i = 0; i < flows.size(); ++i) {
+        const FlowSpec& flow = flows[i];
+        mesh::Node* mote = tb->findNode(flow.node);
+        if (mote == nullptr)
+            throw std::invalid_argument("workload.flows: no node " + std::to_string(flow.node));
+        mesh::Node& peer = pair ? tb->node(1) : tb->cloud();
+        Rig& rig = rigs.emplace_back();
+        rig.moteStack = std::make_unique<tcp::TcpStack>(*mote);
+        if (pair) rig.peerStack = std::make_unique<tcp::TcpStack>(peer);
+        tcp::TcpStack& peerStack = pair ? *rig.peerStack : *cloudStack;
+        rig.meter = std::make_unique<app::ResumableGoodputMeter>(simulator);
         const std::uint16_t port = std::uint16_t(80 + i);
-        tcp::TcpStack& senderStack = f.uplink ? *rig.moteStack : cloudStack;
-        tcp::TcpStack& receiverStack = f.uplink ? cloudStack : *rig.moteStack;
-        tcp::TcpConfig senderCfg =
-            f.uplink ? moteTcpConfig(mss, w.windowSegments) : serverTcpConfig(mss);
-        tcp::TcpConfig receiverCfg =
-            f.uplink ? serverTcpConfig(mss) : moteTcpConfig(mss, w.windowSegments);
-        senderCfg.cc = receiverCfg.cc = w.cc;
-        app::GoodputMeter* meter = rig.meter.get();
+        tcp::TcpStack& senderStack = flow.uplink ? *rig.moteStack : peerStack;
+        tcp::TcpStack& receiverStack = flow.uplink ? peerStack : *rig.moteStack;
+        mesh::Node& receiver = flow.uplink ? peer : *mote;
+        tcp::TcpConfig senderCfg = endpointConfig(w, {mss, flow.uplink || pair, true});
+        const tcp::TcpConfig receiverCfg = endpointConfig(
+            w, {mss, !flow.uplink || pair, false, receiver.config().tcpRecvBudgetBytes});
+
+        app::ResumableGoodputMeter* meter = rig.meter.get();
         receiverStack.listen(port, receiverCfg, [meter](tcp::TcpSocket& s) {
             s.setOnData([meter](BytesView d) { meter->onData(d); });
             s.setOnPeerFin([&s] { s.close(); });
         });
+        const ip6::Address dst = flow.uplink ? peer.address() : mote->address();
+        if (chaos) {
+            if (f.maxRetransmits) senderCfg.maxRetransmits = *f.maxRetransmits;
+            if (f.keepAliveIdle) senderCfg.keepAliveIdle = *f.keepAliveIdle;
+            app::ReconnectingBulkSender::Policy policy;
+            policy.reconnect = f.reconnect;
+            policy.backoffInitial = f.reconnectBackoffInitial;
+            policy.backoffMax = f.reconnectBackoffMax;
+            policy.maxReconnects = f.maxReconnects;
+            rig.reconnecting = std::make_unique<app::ReconnectingBulkSender>(
+                senderStack, senderCfg, dst, port, flow.totalBytes, policy);
+            app::ReconnectingBulkSender* sender = rig.reconnecting.get();
+            sender->setOnSession([meter](std::size_t offset) { meter->beginSession(offset); });
+            meter->setOnProgress([&chaos](std::size_t fresh) { chaos->onProgress(fresh); });
+            // Endpoint crash semantics: a reboot of the sending mote kills its
+            // TCP state with the power rail; the app reconnects once the node
+            // is back up (the deployed app resumes from its durable log).
+            mote->addRebootListener([stack = rig.moteStack.get(), sender](bool isDown) {
+                if (isDown)
+                    stack->dropAllConnectionsSilently();
+                else
+                    sender->noteCrash();
+            });
+            sender->start();
+            continue;
+        }
         rig.sender = &senderStack.createSocket(senderCfg);
-        rig.bulk = std::make_unique<app::BulkSender>(*rig.sender, f.totalBytes);
-        const ip6::Address dst = f.uplink ? tb->cloud().address() : node->address();
+        if (t.ccMetrics) {
+            rig.probe.attach(*rig.sender, w.cwndTracer);
+        } else if (w.cwndTracer) {
+            rig.sender->setCwndTracer(w.cwndTracer);
+        }
+        rig.bulk = std::make_unique<app::BulkSender>(*rig.sender, flow.totalBytes);
         rig.sender->connect(dst, port);
-        rigs.push_back(std::move(rig));
     }
 
-    tb->simulator().runUntil(w.multiFlowDuration);
+    simulator.runUntil(w.kind == WorkloadKind::kMultiFlow ? w.multiFlowDuration : w.timeLimit);
 
-    MultiFlowResult r;
-    const double secs = sim::toSeconds(w.multiFlowDuration);
-    std::vector<double> goodputs;
-    for (std::size_t i = 0; i < w.flows.size(); ++i) {
-        MultiFlowResult::Flow flow;
-        flow.node = w.flows[i].node;
-        flow.uplink = w.flows[i].uplink;
-        flow.goodputKbps = double(rigs[i].meter->bytes()) * 8.0 / 1000.0 / secs;
-        flow.rttMedianMs = rigs[i].sender->stats().rttSamples.median();
-        r.aggregateKbps += flow.goodputKbps;
-        goodputs.push_back(flow.goodputKbps);
-        r.flows.push_back(flow);
+    FlowRunResult r;
+    for (std::size_t i = 0; i < rigs.size(); ++i) {
+        const Rig& rig = rigs[i];
+        FlowRunResult::Flow& out = r.flows.emplace_back();
+        out.spec = flows[i];
+        out.bytes = rig.meter->bytes();
+        out.contentOk = rig.meter->contentOk();
+        out.goodputKbps = rig.meter->goodputKbps();
+        if (rig.reconnecting) {
+            out.stats = rig.reconnecting->aggregateStats();
+            out.reconnects = rig.reconnecting->reconnects();
+            out.reconnectAttempts = rig.reconnecting->reconnectAttempts();
+        } else {
+            out.stats = rig.sender->stats();
+            if (t.ccMetrics) out.cc = rig.probe.finish(*rig.sender);
+        }
     }
-    r.jainFairness = jainIndex(goodputs);
+    if (w.idleTail > 0) {
+        // Duty cycle of the mote's radio over a quiet tail after the run.
+        phy::Radio* radio = tb->findNode(flows.front().node)->radio();
+        radio->energy().resetWindow(radio->state(), simulator.now());
+        simulator.runUntil(simulator.now() + w.idleTail);
+        r.idleRadioDc = radio->energy().radioDutyCycle(radio->state(), simulator.now());
+    }
+    if (chaos) chaos->finish(r);
     r.framesTransmitted = tb->channel().framesTransmitted();
     r.listenerVisits = tb->channel().channelStats().listenerVisits;
-    const SlabPoolStats& pool = tb->simulator().framePool().stats();
+    r.mesh = meshRouteTotals(*tb);
+    const SlabPoolStats& pool = simulator.framePool().stats();
     r.datapath.poolRecycled = pool.recycled;
     r.datapath.poolFresh = pool.fresh;
     r.datapath.poolBytesRecycled = pool.bytesRecycled;
@@ -548,17 +525,35 @@ MultiFlowResult runMultiFlow(const ScenarioSpec& spec, std::uint64_t seed) {
     r.datapath.prependFallbacks = PacketBuffer::stats().prependFallbacks - prependBase;
     r.datapath.neighborRebuilds = tb->channel().channelStats().neighborRebuilds;
     r.datapath.neighborRevalidations = tb->channel().channelStats().neighborRevalidations;
-    r.rngDigest = tb->simulator().rng().stateDigest();
+    r.rngDigest = simulator.rng().stateDigest();
     return r;
 }
 
-BulkRunResult runEmbeddedBulk(const ScenarioSpec& spec, std::uint64_t seed) {
+MultiFlowResult runMultiFlow(const ScenarioSpec& spec, std::uint64_t seed) {
+    const FlowRunResult run = runFlows(spec, seed);
+    MultiFlowResult r;
+    std::vector<double> goodputs;
+    for (const FlowRunResult::Flow& f : run.flows) {
+        const double kbps = kbpsOver(f.bytes, spec.workload.multiFlowDuration);
+        r.flows.push_back({f.spec.node, f.spec.uplink, kbps, f.stats.rttSamples.median()});
+        r.aggregateKbps += kbps;
+        goodputs.push_back(kbps);
+    }
+    r.jainFairness = jainIndex(goodputs);
+    r.framesTransmitted = run.framesTransmitted;
+    r.listenerVisits = run.listenerVisits;
+    r.datapath = run.datapath;
+    r.rngDigest = run.rngDigest;
+    return r;
+}
+
+FlowRunResult runEmbeddedBulk(const ScenarioSpec& spec, std::uint64_t seed) {
     const TopologySpec& t = spec.topology;
     const WorkloadSpec& w = spec.workload;
     auto tb = buildTestbed(t, seed);
     if (w.deliveryTap) tb->channel().setDeliveryTap(w.deliveryTap);
 
-    mesh::Node& mote = *tb->findNode(phy::NodeId(9 + t.hops));
+    mesh::Node& mote = *tb->findNode(moteId(t));
     transport::EmbeddedTcpConfig ec;
     ec.profile = w.embeddedProfile;
     ec.mss = w.embeddedMss;
@@ -566,9 +561,10 @@ BulkRunResult runEmbeddedBulk(const ScenarioSpec& spec, std::uint64_t seed) {
     tcp::TcpStack cloudStack(tb->cloud());
 
     app::GoodputMeter meter(tb->simulator());
-    cloudStack.listen(80, serverTcpConfig(), [&](tcp::TcpSocket& s) {
-        s.setOnData([&](BytesView d) { meter.onData(d); });
-    });
+    cloudStack.listen(80, endpointConfig(w, {resolveMss(w), false, false}),
+                      [&](tcp::TcpSocket& s) {
+                          s.setOnData([&](BytesView d) { meter.onData(d); });
+                      });
     app::EmbeddedBulkSender sender(client, w.totalBytes);
     client.connect(tb->cloud().address(), 80);
     // The stop-and-wait stack has no send-space callback; poll it.
@@ -580,10 +576,12 @@ BulkRunResult runEmbeddedBulk(const ScenarioSpec& spec, std::uint64_t seed) {
     tb->simulator().schedule(sim::kSecond, poll);
     tb->simulator().runUntil(w.timeLimit);
 
-    BulkRunResult r;
-    r.goodputKbps = meter.goodputKbps();
-    r.bytes = meter.bytes();
-    r.contentOk = meter.contentOk();
+    FlowRunResult r;
+    FlowRunResult::Flow& out = r.flows.emplace_back();
+    out.spec = {mote.id(), true, w.totalBytes};
+    out.bytes = meter.bytes();
+    out.contentOk = meter.contentOk();
+    out.goodputKbps = meter.goodputKbps();
     r.framesTransmitted = tb->channel().framesTransmitted();
     r.mesh = meshRouteTotals(*tb);
     r.rngDigest = tb->simulator().rng().stateDigest();
@@ -604,23 +602,14 @@ PipeRunResult runPipeBulk(const ScenarioSpec& spec, std::uint64_t seed) {
     tcp::TcpStack serverStack(pipe.b());
 
     app::GoodputMeter meter(simulator);
-    tcp::TcpConfig clientCfg = moteTcpConfig();
-    tcp::TcpConfig servCfg = serverTcpConfig();
-    // Legacy pipe runs ignore the MSS knobs (the §8 model pins 462); an
-    // explicit mssBytes with the frame-count sweep disabled opts in — the
-    // bdp sweeps use wire-sized segments to keep event counts sane.
-    if (w.mssFrames == 0 && w.mssBytes > 0) {
-        clientCfg = moteTcpConfig(w.mssBytes);
-        servCfg = serverTcpConfig(w.mssBytes);
-    }
-    // No mesh node behind a pipe endpoint: the workload budget applies
-    // unclamped (the bdp scenarios model an unconstrained wired receiver).
-    applyHighBdp(w, clientCfg, servCfg, 0);
-    serverStack.listen(80, servCfg, [&](tcp::TcpSocket& s) {
+    // No mesh node behind a pipe endpoint: the workload's autotune budget
+    // applies unclamped (the bdp scenarios model an unconstrained receiver).
+    const std::uint16_t mss = resolveMss(w);
+    serverStack.listen(80, endpointConfig(w, {mss, false, false}), [&](tcp::TcpSocket& s) {
         s.setOnData([&](BytesView d) { meter.onData(d); });
         s.setOnPeerFin([&s] { s.close(); });
     });
-    tcp::TcpSocket& client = clientStack.createSocket(clientCfg);
+    tcp::TcpSocket& client = clientStack.createSocket(endpointConfig(w, {mss, true, true}));
     app::BulkSender sender(client, w.totalBytes);
     client.connect(pipe.b().address(), 80);
     simulator.runUntil(w.timeLimit);
@@ -644,154 +633,196 @@ harness::AnemometerResult runAnemometerSpec(const ScenarioSpec& spec,
     return harness::runAnemometer(o);
 }
 
-MetricRow runScenario(const ScenarioSpec& spec, std::uint64_t seed) {
+// --- Per-kind row flatteners ----------------------------------------------
+
+namespace {
+
+void setCcKeys(MetricRow& row, const CcDynamics& d, const std::string& suffix) {
+    row.set("cwnd_min" + suffix, std::uint64_t(d.cwndMin))
+        .set("cwnd_max" + suffix, std::uint64_t(d.cwndMax))
+        .set("cwnd_mean" + suffix, d.cwndMean)
+        .set("ssthresh_final" + suffix, std::uint64_t(d.ssthreshFinal))
+        .set("loss_cuts" + suffix, d.lossCuts)
+        .set("cuts_skipped" + suffix, d.cutsSkipped);
+}
+
+/// Retransmitted share of the segments sent, times `scale`.
+double rexmitShare(const tcp::TcpStats& s, double scale = 1.0) {
+    return s.segsSent > 0 ? scale * double(s.retransmissions) / double(s.segsSent) : 0.0;
+}
+
+MetricRow bulkRow(const ScenarioSpec& spec, const FlowRunResult& r) {
+    const FlowRunResult::Flow& f = r.flows.front();
     MetricRow row;
-    // Chaos scenarios route their bulk workload through the fault-aware
-    // runner even at the fault=0 baseline, so every row of the `fault` axis
-    // shares the chaos schema (reconnects, recover_s, ...).
-    if (spec.fault.chaos && spec.workload.kind == WorkloadKind::kBulk &&
-        spec.topology.kind != TopologyKind::kPipe) {
-        return chaosBulkRow(spec, seed);
+    row.set("goodput_kbps", f.goodputKbps)
+        .set("rtt_median_ms", f.stats.rttSamples.median())
+        .set("segment_loss", rexmitShare(f.stats))
+        .set("frames_tx", r.framesTransmitted)
+        .set("timeouts", f.stats.timeouts)
+        .set("fast_rexmits", f.stats.fastRetransmissions)
+        .set("bytes", f.bytes)
+        .set("content_ok", f.contentOk);
+    // Routing-repair and CC-dynamics keys exist only when the spec opts in,
+    // so legacy scenario rows (and their golden artifacts) are unchanged.
+    if (spec.topology.selfHealing) {
+        row.set("no_route_drops", r.mesh.noRouteDrops)
+            .set("forward_drops", r.mesh.forwardDrops)
+            .set("reroutes", r.mesh.reroutes)
+            .set("failbacks", r.mesh.failbacks)
+            .set("blackhole_drops", r.mesh.blackholeDrops);
     }
+    if (spec.topology.ccMetrics) {
+        row.set("cc_name", tcp::ccName(spec.workload.cc));
+        setCcKeys(row, f.cc, "");
+    }
+    return row.set("rng_digest", r.rngDigest);
+}
+
+MetricRow twoFlowRow(const ScenarioSpec& spec, const FlowRunResult& r) {
+    const FlowRunResult::Flow& a = r.flows[0];
+    const FlowRunResult::Flow& b = r.flows[1];
+    const double goodputA = kbpsOver(a.bytes, spec.workload.timeLimit);
+    const double goodputB = kbpsOver(b.bytes, spec.workload.timeLimit);
+    const double fairness =
+        std::min(goodputA, goodputB) / std::max(1e-9, std::max(goodputA, goodputB));
+    MetricRow row;
+    row.set("goodput_a_kbps", goodputA)
+        .set("goodput_b_kbps", goodputB)
+        .set("fairness", fairness)
+        .set("rtt_a_ms", a.stats.rttSamples.median())
+        .set("rtt_b_ms", b.stats.rttSamples.median())
+        .set("rexmit_a_pct", rexmitShare(a.stats, 100.0))
+        .set("rexmit_b_pct", rexmitShare(b.stats, 100.0));
+    if (spec.topology.ccMetrics) {
+        row.set("cc_name", tcp::ccName(spec.workload.cc));
+        setCcKeys(row, a.cc, "_a");
+        setCcKeys(row, b.cc, "_b");
+    }
+    return row.set("rng_digest", r.rngDigest);
+}
+
+MetricRow multiFlowRow(const ScenarioSpec& spec, const MultiFlowResult& r) {
+    MetricRow row;
+    for (std::size_t i = 0; i < r.flows.size(); ++i) {
+        const std::string p = "flow" + std::to_string(i);
+        row.set(p + "_node", std::uint64_t(r.flows[i].node))
+            .set(p + "_dir", r.flows[i].uplink ? "up" : "down")
+            .set(p + "_kbps", r.flows[i].goodputKbps)
+            .set(p + "_rtt_ms", r.flows[i].rttMedianMs);
+    }
+    row.set("aggregate_kbps", r.aggregateKbps)
+        .set("jain_fairness", r.jainFairness)
+        .set("frames_tx", r.framesTransmitted)
+        .set("listener_visits", r.listenerVisits);
+    // Datapath keys exist only when the spec opts in, so legacy scenario
+    // rows (and their golden artifacts) are unchanged.
+    if (spec.topology.datapathCounters) {
+        const DatapathCounters& d = r.datapath;
+        row.set("pool_recycled", d.poolRecycled)
+            .set("pool_fresh", d.poolFresh)
+            .set("pool_bytes_recycled", d.poolBytesRecycled)
+            .set("pool_bytes_fresh", d.poolBytesFresh)
+            .set("smallfn_heap_fallbacks", d.smallFnHeapFallbacks)
+            .set("prepend_fallbacks", d.prependFallbacks)
+            .set("neighbor_rebuilds", d.neighborRebuilds)
+            .set("neighbor_revalidations", d.neighborRevalidations);
+    }
+    return row.set("rng_digest", r.rngDigest);
+}
+
+MetricRow sleepyRow(const FlowRunResult& r) {
+    const FlowRunResult::Flow& f = r.flows.front();
+    const Summary& rtt = f.stats.rttSamples;
+    MetricRow row;
+    return row.set("goodput_kbps", f.goodputKbps)
+        .set("bytes", f.bytes)
+        .set("rtt_n", rtt.count())
+        .set("rtt_median_ms", rtt.median())
+        .set("rtt_p10_ms", rtt.percentile(10))
+        .set("rtt_p90_ms", rtt.percentile(90))
+        .set("rtt_max_ms", rtt.max())
+        .set("idle_radio_dc", r.idleRadioDc)
+        .set("rng_digest", r.rngDigest);
+}
+
+MetricRow chaosRow(const ScenarioSpec& spec, const FlowRunResult& r) {
+    const FlowRunResult::Flow& f = r.flows.front();
+    const double faultKbps =
+        r.outageSeconds > 0.0 ? double(r.faultBytes) * 8.0 / 1000.0 / r.outageSeconds : 0.0;
+    MetricRow row;
+    row.set("goodput_kbps", f.goodputKbps)
+        .set("bytes", std::uint64_t(f.bytes))
+        .set("content_ok", f.contentOk)
+        .set("complete", f.bytes >= f.spec.totalBytes)
+        .set("reconnects", std::int64_t(f.reconnects))
+        .set("reconnect_attempts", std::int64_t(f.reconnectAttempts))
+        .set("give_ups", f.stats.rexmitGiveUps + f.stats.persistGiveUps +
+                             f.stats.keepAliveGiveUps)
+        .set("timeouts", f.stats.timeouts)
+        .set("fault_events", r.faultEvents)
+        .set("outage_s", r.outageSeconds)
+        .set("fault_bytes", r.faultBytes)
+        .set("fault_goodput_kbps", faultKbps)
+        .set("recover_s", r.timeToRecoverS)
+        .set("frames_tx", r.framesTransmitted);
+    // Routing-repair keys exist only under self-healing, so the legacy chaos
+    // rows (and their golden artifacts) keep their exact schema.
+    if (spec.topology.selfHealing) {
+        row.set("reroutes", r.mesh.reroutes)
+            .set("failbacks", r.mesh.failbacks)
+            .set("blackhole_drops", r.mesh.blackholeDrops)
+            .set("no_route_drops", r.mesh.noRouteDrops)
+            .set("forward_drops", r.mesh.forwardDrops);
+    }
+    return row.set("rng_digest", r.rngDigest);
+}
+
+MetricRow anemometerRow(const harness::AnemometerResult& r) {
+    MetricRow row;
+    row.set("generated", r.generated)
+        .set("delivered", r.delivered)
+        .set("reliability", r.reliability)
+        .set("radio_dc", r.radioDutyCycle)
+        .set("cpu_dc", r.cpuDutyCycle)
+        .set("rexmits", r.transportRetransmissions)
+        .set("tcp_rtos", r.tcpTimeouts)
+        .set("rng_digest", r.rngDigest);
+    if (!r.hourlyRadioDutyCycle.empty()) {
+        std::string hourly;
+        for (double v : r.hourlyRadioDutyCycle) {
+            if (!hourly.empty()) hourly += ',';
+            hourly += formatDouble(v);
+        }
+        row.set("hourly_radio_dc", hourly);
+    }
+    return row;
+}
+
+}  // namespace
+
+MetricRow runScenario(const ScenarioSpec& spec, std::uint64_t seed) {
+    validate(spec);
     if (spec.topology.kind == TopologyKind::kPipe) {
         const PipeRunResult r = runPipeBulk(spec, seed);
-        row.set("goodput_kbps", r.goodputKbps)
+        MetricRow row;
+        return row.set("goodput_kbps", r.goodputKbps)
             .set("rtt_s", r.rttSeconds)
             .set("loss_measured", r.lossMeasured)
             .set("rng_digest", r.rngDigest);
-        return row;
     }
     switch (spec.workload.kind) {
-        case WorkloadKind::kBulk:
-        case WorkloadKind::kEmbeddedBulk: {
-            const BulkRunResult r = spec.workload.kind == WorkloadKind::kBulk
-                                        ? runBulk(spec, seed)
-                                        : runEmbeddedBulk(spec, seed);
-            row.set("goodput_kbps", r.goodputKbps)
-                .set("rtt_median_ms", r.rttMedianMs)
-                .set("segment_loss", r.segmentLoss)
-                .set("frames_tx", r.framesTransmitted)
-                .set("timeouts", r.timeouts)
-                .set("fast_rexmits", r.fastRetransmissions)
-                .set("bytes", r.bytes)
-                .set("content_ok", r.contentOk);
-            // Routing-repair keys exist only under self-healing, so legacy
-            // scenario rows (and their golden artifacts) are unchanged.
-            if (spec.topology.selfHealing) {
-                row.set("no_route_drops", r.mesh.noRouteDrops)
-                    .set("forward_drops", r.mesh.forwardDrops)
-                    .set("reroutes", r.mesh.reroutes)
-                    .set("failbacks", r.mesh.failbacks)
-                    .set("blackhole_drops", r.mesh.blackholeDrops);
-            }
-            // CC-dynamics keys exist only when the spec opts in, so legacy
-            // scenario rows (and their golden artifacts) are unchanged.
-            if (spec.topology.ccMetrics) {
-                row.set("cc_name", tcp::ccName(spec.workload.cc))
-                    .set("cwnd_min", std::uint64_t(r.cc.cwndMin))
-                    .set("cwnd_max", std::uint64_t(r.cc.cwndMax))
-                    .set("cwnd_mean", r.cc.cwndMean)
-                    .set("ssthresh_final", std::uint64_t(r.cc.ssthreshFinal))
-                    .set("loss_cuts", r.cc.lossCuts)
-                    .set("cuts_skipped", r.cc.cutsSkipped);
-            }
-            row.set("rng_digest", r.rngDigest);
-            break;
-        }
-        case WorkloadKind::kTwoFlow: {
-            const TwoFlowResult r = runTwoFlow(spec, seed);
-            const double fairness = std::min(r.goodputA, r.goodputB) /
-                                    std::max(1e-9, std::max(r.goodputA, r.goodputB));
-            row.set("goodput_a_kbps", r.goodputA)
-                .set("goodput_b_kbps", r.goodputB)
-                .set("fairness", fairness)
-                .set("rtt_a_ms", r.rttA)
-                .set("rtt_b_ms", r.rttB)
-                .set("rexmit_a_pct", r.lossA)
-                .set("rexmit_b_pct", r.lossB);
-            if (spec.topology.ccMetrics) {
-                row.set("cc_name", tcp::ccName(spec.workload.cc));
-                const struct {
-                    const char* suffix;
-                    const CcDynamics* d;
-                } sides[] = {{"_a", &r.ccA}, {"_b", &r.ccB}};
-                for (const auto& side : sides) {
-                    const std::string s = side.suffix;
-                    row.set("cwnd_min" + s, std::uint64_t(side.d->cwndMin))
-                        .set("cwnd_max" + s, std::uint64_t(side.d->cwndMax))
-                        .set("cwnd_mean" + s, side.d->cwndMean)
-                        .set("ssthresh_final" + s, std::uint64_t(side.d->ssthreshFinal))
-                        .set("loss_cuts" + s, side.d->lossCuts)
-                        .set("cuts_skipped" + s, side.d->cutsSkipped);
-                }
-            }
-            row.set("rng_digest", r.rngDigest);
-            break;
-        }
-        case WorkloadKind::kMultiFlow: {
-            const MultiFlowResult r = runMultiFlow(spec, seed);
-            for (std::size_t i = 0; i < r.flows.size(); ++i) {
-                const std::string p = "flow" + std::to_string(i);
-                row.set(p + "_node", std::uint64_t(r.flows[i].node))
-                    .set(p + "_dir", r.flows[i].uplink ? "up" : "down")
-                    .set(p + "_kbps", r.flows[i].goodputKbps)
-                    .set(p + "_rtt_ms", r.flows[i].rttMedianMs);
-            }
-            row.set("aggregate_kbps", r.aggregateKbps)
-                .set("jain_fairness", r.jainFairness)
-                .set("frames_tx", r.framesTransmitted)
-                .set("listener_visits", r.listenerVisits);
-            // Datapath keys exist only when the spec opts in, so legacy
-            // scenario rows (and their golden artifacts) are unchanged.
-            if (spec.topology.datapathCounters) {
-                const DatapathCounters& d = r.datapath;
-                row.set("pool_recycled", d.poolRecycled)
-                    .set("pool_fresh", d.poolFresh)
-                    .set("pool_bytes_recycled", d.poolBytesRecycled)
-                    .set("pool_bytes_fresh", d.poolBytesFresh)
-                    .set("smallfn_heap_fallbacks", d.smallFnHeapFallbacks)
-                    .set("prepend_fallbacks", d.prependFallbacks)
-                    .set("neighbor_rebuilds", d.neighborRebuilds)
-                    .set("neighbor_revalidations", d.neighborRevalidations);
-            }
-            row.set("rng_digest", r.rngDigest);
-            break;
-        }
-        case WorkloadKind::kSleepyBulk: {
-            const SleepyRunResult r = runSleepyBulk(spec, seed);
-            row.set("goodput_kbps", r.goodputKbps)
-                .set("bytes", r.bytes)
-                .set("rtt_n", r.rttMs.count())
-                .set("rtt_median_ms", r.rttMs.median())
-                .set("rtt_p10_ms", r.rttMs.percentile(10))
-                .set("rtt_p90_ms", r.rttMs.percentile(90))
-                .set("rtt_max_ms", r.rttMs.max())
-                .set("idle_radio_dc", r.idleRadioDc)
-                .set("rng_digest", r.rngDigest);
-            break;
-        }
-        case WorkloadKind::kAnemometer: {
-            const harness::AnemometerResult r = runAnemometerSpec(spec, seed);
-            row.set("generated", r.generated)
-                .set("delivered", r.delivered)
-                .set("reliability", r.reliability)
-                .set("radio_dc", r.radioDutyCycle)
-                .set("cpu_dc", r.cpuDutyCycle)
-                .set("rexmits", r.transportRetransmissions)
-                .set("tcp_rtos", r.tcpTimeouts)
-                .set("rng_digest", r.rngDigest);
-            if (!r.hourlyRadioDutyCycle.empty()) {
-                std::string hourly;
-                for (double v : r.hourlyRadioDutyCycle) {
-                    if (!hourly.empty()) hourly += ',';
-                    hourly += formatDouble(v);
-                }
-                row.set("hourly_radio_dc", hourly);
-            }
-            break;
-        }
+        case WorkloadKind::kEmbeddedBulk: return bulkRow(spec, runEmbeddedBulk(spec, seed));
+        case WorkloadKind::kAnemometer: return anemometerRow(runAnemometerSpec(spec, seed));
+        case WorkloadKind::kMultiFlow: return multiFlowRow(spec, runMultiFlow(spec, seed));
+        default: break;
     }
-    return row;
+    // Chaos scenarios keep their schema (reconnects, recover_s, ...) even at
+    // the fault=0 baseline, so every row of the `fault` axis matches.
+    const FlowRunResult r = runFlows(spec, seed);
+    if (spec.fault.chaos) return chaosRow(spec, r);
+    if (spec.workload.kind == WorkloadKind::kTwoFlow) return twoFlowRow(spec, r);
+    if (spec.workload.kind == WorkloadKind::kSleepyBulk) return sleepyRow(r);
+    return bulkRow(spec, r);
 }
 
 }  // namespace tcplp::scenario

@@ -1,18 +1,21 @@
 // The scenario engine: turns a ScenarioSpec + seed into a deterministic run.
 //
-// These functions absorb the recurring setup that bench/common.hpp,
-// bench/sleepy_common.hpp and the per-figure drivers each hand-rolled: mote
-// and server TCP profiles, the frames->MSS computation, testbed construction
-// from a TopologySpec, and one runner per workload kind. Each runner
-// replicates the exact construction and event-scheduling order of the
-// pre-refactor bench path, so a given (spec, seed) replays the identical
-// RNG stream — tests/test_scenario_sweep.cpp pins this with
-// Rng::stateDigest against frozen inline copies of the old code.
+// These functions absorb the recurring setup the bench drivers used to
+// hand-roll: mote and server TCP profiles, the frames->MSS computation,
+// testbed construction from a TopologySpec, and the runners. Every radio
+// workload except the embedded baselines and the anemometer study — bulk,
+// node-to-node pair, two-flow, multi-flow, sleepy bulk and chaos — goes
+// through one flow runner (runFlows) over the spec's list of flows, and
+// every TCP endpoint of every runner takes its config from endpointConfig,
+// so a WorkloadSpec knob reaches every flow or validate() rejects it.
+// Construction and event-scheduling order match the pre-refactor runners,
+// so a given (spec, seed) replays the identical RNG stream —
+// tests/test_scenario_sweep.cpp pins this with Rng::stateDigest against
+// frozen inline copies of the old code.
 #pragma once
 
 #include <memory>
 
-#include "tcplp/common/stats.hpp"
 #include "tcplp/scenario/metrics.hpp"
 #include "tcplp/scenario/spec.hpp"
 
@@ -30,14 +33,30 @@ std::uint16_t mssForFrames(std::size_t frames);
 /// Resolves the spec's MSS knobs (mssFrames wins over mssBytes).
 std::uint16_t resolveMss(const WorkloadSpec& w);
 
-/// Builds the testbed a TopologySpec describes (kPipe has no testbed).
-std::unique_ptr<harness::Testbed> buildTestbed(const TopologySpec& t,
-                                               std::uint64_t seed);
+/// Which end of a flow a TCP endpoint is (see endpointConfig).
+struct EndpointRole {
+    /// resolveMss(w), resolved once per run: mssForFrames encodes hundreds
+    /// of trial segments, and their buffers would show in the run's
+    /// slab-pool counters.
+    std::uint16_t mss = 462;
+    bool mote = true;    // mote profile, else the 16 KiB server profile
+    bool sender = true;  // the bulk sender, else the receiver
+    /// The receiving node's NodeConfig::tcpRecvBudgetBytes (0 = none):
+    /// clamps the workload's recvAutotuneBudgetBytes.
+    std::size_t recvBudgetBytes = 0;
+};
 
-/// The mote endpoint of a single-flow workload: the far end of the line,
-/// one of the pair, or the farthest grid/star/office node from the border
-/// router. Shared with the chaos runner (scenario/chaos.cpp).
-mesh::Node& senderMote(harness::Testbed& tb, const TopologySpec& t);
+/// The one place a workload's TCP knobs become a TcpConfig: the mote or
+/// server profile at the role's MSS (a mote receiver sized by
+/// recvWindowSegments when set, else windowSegments), the Table 1
+/// ablations, the cc strategy, and the high-BDP knobs for this role.
+tcp::TcpConfig endpointConfig(const WorkloadSpec& w, const EndpointRole& role);
+
+/// Builds the testbed a TopologySpec describes (kPipe has no testbed).
+/// kSleepyLeaf's leaf (node 10) duty-cycles per `leafPolicy`.
+std::unique_ptr<harness::Testbed> buildTestbed(const TopologySpec& t,
+                                               std::uint64_t seed,
+                                               const mac::SleepyConfig& leafPolicy = {});
 
 // --- Shared scenario presets ---------------------------------------------
 // The canonical multiflow workloads, used by the registered drivers
@@ -89,36 +108,6 @@ struct CcDynamics {
     std::uint64_t cutsSkipped = 0;   // noise-classified losses (CERL)
 };
 
-struct BulkRunResult {
-    double goodputKbps = 0.0;
-    double rttMedianMs = 0.0;
-    double segmentLoss = 0.0;  // TCP-level loss (not masked by link retries)
-    std::uint64_t framesTransmitted = 0;
-    std::uint64_t timeouts = 0;
-    std::uint64_t fastRetransmissions = 0;
-    std::size_t bytes = 0;
-    bool contentOk = false;
-    MeshRouteTotals mesh{};
-    CcDynamics cc{};
-    std::uint64_t rngDigest = 0;
-};
-
-struct SleepyRunResult {
-    double goodputKbps = 0.0;
-    std::size_t bytes = 0;
-    Summary rttMs;             // sender-side RTT samples
-    double idleRadioDc = 0.0;  // duty cycle over the quiet tail
-    std::uint64_t rngDigest = 0;
-};
-
-struct TwoFlowResult {
-    double goodputA = 0.0, goodputB = 0.0;
-    double rttA = 0.0, rttB = 0.0;
-    double lossA = 0.0, lossB = 0.0;  // rexmit %
-    CcDynamics ccA{}, ccB{};
-    std::uint64_t rngDigest = 0;
-};
-
 /// Datapath perf counters collected over one run (deltas for the
 /// process-wide counters, so sequential runs in one process don't bleed
 /// into each other). Surfaced as row keys when datapathCounters is set.
@@ -149,6 +138,36 @@ struct MultiFlowResult {
     std::uint64_t rngDigest = 0;
 };
 
+/// One run of runFlows: every flow's outcome plus the run-wide counters.
+struct FlowRunResult {
+    struct Flow {
+        FlowSpec spec;            // the mote endpoint and direction
+        std::size_t bytes = 0;    // unique bytes delivered
+        bool contentOk = true;
+        double goodputKbps = 0.0;  // over the first..last delivery interval
+        /// The sender's stats; under chaos summed over every reconnect
+        /// session (counters only, no RTT samples).
+        tcp::TcpStats stats{};
+        CcDynamics cc{};  // only with TopologySpec::ccMetrics
+        int reconnects = 0;  // chaos: completed re-establishments
+        int reconnectAttempts = 0;
+    };
+    std::vector<Flow> flows;
+    std::uint64_t framesTransmitted = 0;
+    std::uint64_t listenerVisits = 0;
+    MeshRouteTotals mesh{};
+    DatapathCounters datapath{};
+    double idleRadioDc = 0.0;  // kSleepyBulk: duty cycle over the idleTail
+    // Chaos recovery metrics (see FaultSpec).
+    std::uint64_t faultEvents = 0;
+    double outageSeconds = 0.0;   // union of the injected outage windows
+    std::uint64_t faultBytes = 0;  // fresh bytes landed inside outages
+    /// Last outage end -> first fresh byte after it; -1 = never recovered
+    /// (or no outage), 0-ish = the flow never stalled.
+    double timeToRecoverS = -1.0;
+    std::uint64_t rngDigest = 0;
+};
+
 struct PipeRunResult {
     double goodputKbps = 0.0;
     double rttSeconds = 0.0;
@@ -156,17 +175,23 @@ struct PipeRunResult {
     std::uint64_t rngDigest = 0;
 };
 
-BulkRunResult runBulk(const ScenarioSpec& spec, std::uint64_t seed);
-SleepyRunResult runSleepyBulk(const ScenarioSpec& spec, std::uint64_t seed);
-TwoFlowResult runTwoFlow(const ScenarioSpec& spec, std::uint64_t seed);
+/// The flow runner behind kBulk (one flow from the topology's mote; on
+/// kPair the peer is the other mote), kTwoFlow (plus the Appendix A sibling
+/// node 99), kMultiFlow (the spec's FlowSpecs) and kSleepyBulk. With
+/// fault.chaos it first installs the fault plan and the progress watchdog,
+/// and every flow gets a ReconnectingBulkSender; a stalled flow throws
+/// std::runtime_error, which the sweep and campaign machinery attribute.
+FlowRunResult runFlows(const ScenarioSpec& spec, std::uint64_t seed);
+/// runFlows on a kMultiFlow spec, per-flow goodput over the run duration.
 MultiFlowResult runMultiFlow(const ScenarioSpec& spec, std::uint64_t seed);
-BulkRunResult runEmbeddedBulk(const ScenarioSpec& spec, std::uint64_t seed);
+/// uIP/BLIP stop-and-wait client to a full TCP server: one flow.
+FlowRunResult runEmbeddedBulk(const ScenarioSpec& spec, std::uint64_t seed);
 PipeRunResult runPipeBulk(const ScenarioSpec& spec, std::uint64_t seed);
 harness::AnemometerResult runAnemometerSpec(const ScenarioSpec& spec,
                                             std::uint64_t seed);
 
-/// Runs the spec's workload and flattens the result into standardized
-/// metric keys (goodput_kbps, reliability, ..., rng_digest).
+/// Validates the spec, runs its workload and flattens the result into
+/// standardized metric keys (goodput_kbps, reliability, ..., rng_digest).
 MetricRow runScenario(const ScenarioSpec& spec, std::uint64_t seed);
 
 }  // namespace tcplp::scenario

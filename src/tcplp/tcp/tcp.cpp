@@ -88,7 +88,6 @@ void TcpSocket::connect(const ip6::Address& dst, std::uint16_t dstPort) {
     remoteAddr_ = dst;
     remotePort_ = dstPort;
     if (localPort_ == 0) localPort_ = stack_.allocatePort();
-    stack_.bind(*this);
 
     tcb_.iss = stack_.nextIss();
     tcb_.sndUna = tcb_.iss;
@@ -519,7 +518,6 @@ void TcpSocket::connectionFailed() {
 void TcpSocket::beginPassiveOpen(const Segment& syn, const ip6::Address& peer) {
     remoteAddr_ = peer;
     remotePort_ = syn.srcPort;
-    stack_.bind(*this);
 
     tcb_.irs = syn.seq;
     tcb_.rcvNxt = syn.seq + 1;
@@ -1154,9 +1152,6 @@ void TcpStack::destroySocket(TcpSocket& socket) {
 void TcpStack::dropAllConnectionsSilently() {
     for (auto& s : sockets_) s->dropSilently();
 }
-
-void TcpStack::bind(TcpSocket&) {}
-void TcpStack::unbind(TcpSocket&) {}
 
 void TcpStack::transmit(TcpSocket& socket, Segment& seg) {
     ip6::Packet packet;

@@ -348,8 +348,6 @@ public:
     // Internal.
     void transmit(TcpSocket& socket, Segment& seg);
     std::uint16_t allocatePort() { return nextEphemeral_++; }
-    void bind(TcpSocket& socket);
-    void unbind(TcpSocket& socket);
 
 private:
     void packetInput(const ip6::Packet& packet);

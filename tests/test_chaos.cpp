@@ -170,14 +170,14 @@ TEST(Chaos, BorderRouterRestartReestablishesFlow) {
     };
     spec.fault.maxRetransmits = 3;
 
-    const ChaosBulkResult r = runChaosBulk(spec, 1);
-    EXPECT_TRUE(r.complete);
-    EXPECT_TRUE(r.contentOk);
-    EXPECT_EQ(r.bytes, 30000u);
-    EXPECT_GE(r.reconnects, 1);
-    EXPECT_GE(r.giveUps, 1u);          // R2 fired during the outage
-    EXPECT_GE(r.timeToRecoverS, 0.0);  // flow came back after the outage
-    EXPECT_GT(r.goodputKbps, 0.0);
+    const MetricRow r = runScenario(spec, 1);
+    EXPECT_EQ(r.number("complete"), 1.0);
+    EXPECT_EQ(r.number("content_ok"), 1.0);
+    EXPECT_EQ(r.number("bytes"), 30000.0);
+    EXPECT_GE(r.number("reconnects"), 1.0);
+    EXPECT_GE(r.number("give_ups"), 1.0);   // R2 fired during the outage
+    EXPECT_GE(r.number("recover_s"), 0.0);  // flow came back after the outage
+    EXPECT_GT(r.number("goodput_kbps"), 0.0);
 }
 
 // Endpoint crash: the sender mote itself reboots mid-transfer, losing all
@@ -195,11 +195,11 @@ TEST(Chaos, SenderMoteRebootResumesFromAckedOffset) {
         {sim::FaultKind::kNodeReboot, 3 * sim::kSecond, 3 * sim::kSecond, 10, 0},
     };
 
-    const ChaosBulkResult r = runChaosBulk(spec, 1);
-    EXPECT_TRUE(r.complete);
-    EXPECT_TRUE(r.contentOk);
-    EXPECT_GE(r.reconnects, 1);
-    EXPECT_GT(r.goodputKbps, 0.0);
+    const MetricRow r = runScenario(spec, 1);
+    EXPECT_EQ(r.number("complete"), 1.0);
+    EXPECT_EQ(r.number("content_ok"), 1.0);
+    EXPECT_GE(r.number("reconnects"), 1.0);
+    EXPECT_GT(r.number("goodput_kbps"), 0.0);
 }
 
 // The clean baseline of a chaos scenario shares the chaos schema but must
@@ -213,12 +213,12 @@ TEST(Chaos, CleanBaselineCompletesWithoutSurvivalMachinery) {
     spec.workload.timeLimit = 5 * sim::kMinute;
     spec.fault.chaos = true;  // chaos runner, but no plan armed
 
-    const ChaosBulkResult r = runChaosBulk(spec, 1);
-    EXPECT_TRUE(r.complete);
-    EXPECT_TRUE(r.contentOk);
-    EXPECT_EQ(r.reconnects, 0);
-    EXPECT_EQ(r.giveUps, 0u);
-    EXPECT_EQ(r.faultEvents, 0u);
-    EXPECT_DOUBLE_EQ(r.outageSeconds, 0.0);
-    EXPECT_DOUBLE_EQ(r.timeToRecoverS, -1.0);
+    const MetricRow r = runScenario(spec, 1);
+    EXPECT_EQ(r.number("complete"), 1.0);
+    EXPECT_EQ(r.number("content_ok"), 1.0);
+    EXPECT_EQ(r.number("reconnects"), 0.0);
+    EXPECT_EQ(r.number("give_ups"), 0.0);
+    EXPECT_EQ(r.number("fault_events"), 0.0);
+    EXPECT_DOUBLE_EQ(r.number("outage_s"), 0.0);
+    EXPECT_DOUBLE_EQ(r.number("recover_s"), -1.0);
 }

@@ -455,11 +455,11 @@ scenario::ScenarioSpec specFor(const FrozenRun& fr) {
 
 TEST(CongestionControl, NewRenoReplaysThePreRefactorEngineByteForByte) {
     for (const FrozenRun& fr : kFrozenRuns) {
-        const scenario::BulkRunResult r = scenario::runBulk(specFor(fr), fr.seed);
-        EXPECT_DOUBLE_EQ(r.goodputKbps, fr.goodputKbps);
+        const scenario::FlowRunResult r = scenario::runFlows(specFor(fr), fr.seed);
+        EXPECT_DOUBLE_EQ(r.flows[0].goodputKbps, fr.goodputKbps);
         EXPECT_EQ(r.framesTransmitted, fr.frames);
         EXPECT_EQ(r.rngDigest, fr.rngDigest);
-        EXPECT_TRUE(r.contentOk);
+        EXPECT_TRUE(r.flows[0].contentOk);
     }
 }
 
@@ -468,7 +468,7 @@ TEST(CongestionControl, VariantSelectionActuallyChangesTheByteStream) {
     // replay NewReno's stream (otherwise the knob is dead).
     scenario::ScenarioSpec s = specFor(kFrozenRuns[1]);
     s.workload.cc = tcp::CcKind::kCerl;
-    const scenario::BulkRunResult r = scenario::runBulk(s, kFrozenRuns[1].seed);
+    const scenario::FlowRunResult r = scenario::runFlows(s, kFrozenRuns[1].seed);
     EXPECT_NE(r.rngDigest, kFrozenRuns[1].rngDigest);
 }
 

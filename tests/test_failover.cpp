@@ -26,6 +26,7 @@
 #include "tcplp/harness/pipe.hpp"
 #include "tcplp/scenario/chaos.hpp"
 #include "tcplp/scenario/sweep.hpp"
+#include "tcplp/scenario/workloads.hpp"
 #include "tcplp/sim/fault.hpp"
 #include "tcplp/tcp/tcp.hpp"
 
@@ -69,24 +70,24 @@ ScenarioSpec partitionHealSpec() {
 
 TEST(Failover, RelayDeathFailsOverAndCompletesWithoutGiveUps) {
     for (std::uint64_t seed : {1ull, 2ull}) {
-        const ChaosBulkResult r = runChaosBulk(relayFailoverSpec(), seed);
-        EXPECT_TRUE(r.complete) << "seed " << seed;
-        EXPECT_TRUE(r.contentOk) << "seed " << seed;
-        EXPECT_GE(r.reroutes, 1u) << "seed " << seed;
-        EXPECT_EQ(r.giveUps, 0u) << "seed " << seed;
-        EXPECT_EQ(r.reconnects, 0);
+        const MetricRow r = runScenario(relayFailoverSpec(), seed);
+        EXPECT_EQ(r.number("complete"), 1.0) << "seed " << seed;
+        EXPECT_EQ(r.number("content_ok"), 1.0) << "seed " << seed;
+        EXPECT_GE(r.number("reroutes"), 1.0) << "seed " << seed;
+        EXPECT_EQ(r.number("give_ups"), 0.0) << "seed " << seed;
+        EXPECT_EQ(r.number("reconnects"), 0.0);
     }
 }
 
 TEST(Failover, PartitionPastR2ReconnectsAndFailsBack) {
     for (std::uint64_t seed : {1ull, 2ull}) {
-        const ChaosBulkResult r = runChaosBulk(partitionHealSpec(), seed);
-        EXPECT_TRUE(r.complete) << "seed " << seed;
-        EXPECT_TRUE(r.contentOk) << "seed " << seed;
-        EXPECT_GE(r.giveUps, 1u) << "seed " << seed;
-        EXPECT_GE(r.reconnects, 1) << "seed " << seed;
-        EXPECT_GE(r.reroutes, 1u) << "seed " << seed;
-        EXPECT_GE(r.failbacks, 1u) << "seed " << seed;
+        const MetricRow r = runScenario(partitionHealSpec(), seed);
+        EXPECT_EQ(r.number("complete"), 1.0) << "seed " << seed;
+        EXPECT_EQ(r.number("content_ok"), 1.0) << "seed " << seed;
+        EXPECT_GE(r.number("give_ups"), 1.0) << "seed " << seed;
+        EXPECT_GE(r.number("reconnects"), 1.0) << "seed " << seed;
+        EXPECT_GE(r.number("reroutes"), 1.0) << "seed " << seed;
+        EXPECT_GE(r.number("failbacks"), 1.0) << "seed " << seed;
     }
 }
 

@@ -249,13 +249,13 @@ TEST(Routing, DeadNextHopDropsAtRoutingInsteadOfBurningRetries) {
     // dominate the frame count over the 90s run.
     healing.topology.probeInterval = 0;
 
-    const ChaosBulkResult burned = runChaosBulk(spec, /*seed=*/1);
-    const ChaosBulkResult repaired = runChaosBulk(healing, /*seed=*/1);
+    const FlowRunResult burned = runFlows(spec, /*seed=*/1);
+    const FlowRunResult repaired = runFlows(healing, /*seed=*/1);
 
-    EXPECT_FALSE(burned.complete);
-    EXPECT_FALSE(repaired.complete);
-    EXPECT_GT(repaired.blackholeDrops, 0u);
-    EXPECT_EQ(burned.blackholeDrops, 0u);
+    EXPECT_LT(burned.flows[0].bytes, spec.workload.totalBytes);
+    EXPECT_LT(repaired.flows[0].bytes, healing.workload.totalBytes);
+    EXPECT_GT(repaired.mesh.blackholeDrops, 0u);
+    EXPECT_EQ(burned.mesh.blackholeDrops, 0u);
     // Pinned gap: the healing run must spend well under half the frames.
     EXPECT_LT(repaired.framesTransmitted * 2, burned.framesTransmitted);
 }
@@ -272,12 +272,12 @@ TEST(Routing, FaultFreeRunIsByteIdenticalWithSelfHealingOn) {
     on.topology.selfHealing = true;
 
     for (std::uint64_t seed : {1ull, 2ull}) {
-        const BulkRunResult a = runBulk(off, seed);
-        const BulkRunResult b = runBulk(on, seed);
+        const FlowRunResult a = runFlows(off, seed);
+        const FlowRunResult b = runFlows(on, seed);
         EXPECT_EQ(a.rngDigest, b.rngDigest) << "seed " << seed;
-        EXPECT_EQ(a.goodputKbps, b.goodputKbps) << "seed " << seed;
+        EXPECT_EQ(a.flows[0].goodputKbps, b.flows[0].goodputKbps) << "seed " << seed;
         EXPECT_EQ(a.framesTransmitted, b.framesTransmitted) << "seed " << seed;
-        EXPECT_TRUE(b.contentOk);
+        EXPECT_TRUE(b.flows[0].contentOk);
         EXPECT_EQ(b.mesh.reroutes, 0u);
         EXPECT_EQ(b.mesh.blackholeDrops, 0u);
     }

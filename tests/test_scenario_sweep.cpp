@@ -316,14 +316,14 @@ TEST(ScenarioEquivalence, BulkEngineReplaysPreRefactorRngStream_Sec72Path) {
             spec.topology.retryDelayMax = sim::fromMillis(40);
             spec.topology.queueCapacityPackets = 24;
             spec.workload.totalBytes = 15000;
-            const BulkRunResult actual = runBulk(spec, seed);
+            const FlowRunResult actual = runFlows(spec, seed);
 
             EXPECT_EQ(actual.rngDigest, expected.rngDigest)
                 << "hops=" << hops << " seed=" << seed;
             EXPECT_EQ(actual.framesTransmitted, expected.framesTransmitted);
-            EXPECT_EQ(actual.bytes, expected.bytes);
-            EXPECT_DOUBLE_EQ(actual.goodputKbps, expected.goodputKbps);
-            EXPECT_TRUE(actual.contentOk);
+            EXPECT_EQ(actual.flows[0].bytes, expected.bytes);
+            EXPECT_DOUBLE_EQ(actual.flows[0].goodputKbps, expected.goodputKbps);
+            EXPECT_TRUE(actual.flows[0].contentOk);
         }
     }
 }
@@ -344,9 +344,9 @@ TEST(ScenarioEquivalence, BulkEngineReplaysPreRefactorRngStream_Downlink) {
     spec.topology.queueCapacityPackets = 24;
     spec.workload.totalBytes = 12000;
     spec.workload.uplink = false;
-    const BulkRunResult actual = runBulk(spec, 3);
+    const FlowRunResult actual = runFlows(spec, 3);
     EXPECT_EQ(actual.rngDigest, expected.rngDigest);
-    EXPECT_DOUBLE_EQ(actual.goodputKbps, expected.goodputKbps);
+    EXPECT_DOUBLE_EQ(actual.flows[0].goodputKbps, expected.goodputKbps);
 }
 
 TEST(ScenarioEquivalence, AnemometerSpecBindsPreRefactorOptions_Fig10Path) {
@@ -389,10 +389,10 @@ TEST(ScenarioTopology, GridRoutesReachTheCloudFromTheFarCorner) {
     spec.topology.queueCapacityPackets = 24;
     spec.workload.totalBytes = 5000;
     spec.workload.timeLimit = 5 * sim::kMinute;
-    const BulkRunResult r = runBulk(spec, 1);
-    EXPECT_TRUE(r.contentOk);
-    EXPECT_EQ(r.bytes, 5000u);
-    EXPECT_GT(r.goodputKbps, 0.0);
+    const FlowRunResult r = runFlows(spec, 1);
+    EXPECT_TRUE(r.flows[0].contentOk);
+    EXPECT_EQ(r.flows[0].bytes, 5000u);
+    EXPECT_GT(r.flows[0].goodputKbps, 0.0);
 }
 
 TEST(ScenarioTopology, StarIsSingleHopEverywhere) {

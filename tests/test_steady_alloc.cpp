@@ -89,9 +89,9 @@ TEST(SteadyAlloc, ThreeHopBulkRunsAllocationFree) {
     };
 
     const std::uint64_t smallFn0 = sim::SmallFn::heapFallbacks();
-    const BulkRunResult r = runBulk(spec, 1);
+    const FlowRunResult r = runFlows(spec, 1);
 
-    ASSERT_TRUE(r.contentOk);
+    ASSERT_TRUE(r.flows[0].contentOk);
     ASSERT_TRUE(probe->armed) << "transfer ended before the warmup window";
     const std::uint64_t steadyFrames = probe->frames - probe->framesAtWarm;
     const std::uint64_t steadyAllocs = probe->allocsLast - probe->allocsAtWarm;
@@ -120,8 +120,8 @@ TEST(SteadyAlloc, EndpointEncodeKeepsPrependFallbackCold) {
         spec.workload.totalBytes = 50000;
         spec.workload.uplink = uplink;
         const std::uint64_t prepend0 = PacketBuffer::stats().prependFallbacks;
-        const BulkRunResult r = runBulk(spec, 1);
-        ASSERT_TRUE(r.contentOk);
+        const FlowRunResult r = runFlows(spec, 1);
+        ASSERT_TRUE(r.flows[0].contentOk);
         EXPECT_EQ(PacketBuffer::stats().prependFallbacks, prepend0)
             << "uplink=" << uplink;
     }

@@ -138,11 +138,11 @@ TEST(TimerWheelEquivalence, BulkOverLossyLineIdenticalAcrossBackends) {
         ScenarioSpec spec = s;
         spec.topology.scheduler = kind;
         spec.workload.deliveryTap = fp.tap();
-        const scenario::BulkRunResult r = scenario::runBulk(spec, 7);
+        const scenario::FlowRunResult r = scenario::runFlows(spec, 7);
         fp.rngDigest = r.rngDigest;
-        fp.aggregateKbps = r.goodputKbps;
+        fp.aggregateKbps = r.flows[0].goodputKbps;
         fp.framesTransmitted = r.framesTransmitted;
-        EXPECT_TRUE(r.contentOk);
+        EXPECT_TRUE(r.flows[0].contentOk);
         return fp;
     };
     const Fingerprint heap = runOne(sim::SchedulerKind::kBinaryHeap);
