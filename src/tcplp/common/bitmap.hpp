@@ -1,13 +1,19 @@
-// Dynamic bitmap with range operations.
+// Dynamic bitmap with word-level range operations.
 //
 // TCPlp's in-place reassembly queue (paper section 4.3.2, Figure 1b) records
 // which bytes past the in-sequence data are valid out-of-order data using a
-// bitmap; this is that bitmap.
+// bitmap; this is that bitmap. The receive path touches it on every segment,
+// so every range operation and search works a 64-bit word at a time: its
+// cost is O(range / 64), never O(size). The size is fixed at construction,
+// so the words live in a plain array (no vector capacity field): the bitmap
+// is part of every socket's footprint (paper Tables 3/4).
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <memory>
 
 #include "tcplp/common/assert.hpp"
 
@@ -15,7 +21,8 @@ namespace tcplp {
 
 class Bitmap {
 public:
-    explicit Bitmap(std::size_t bits) : bits_(bits), words_((bits + 63) / 64, 0) {}
+    explicit Bitmap(std::size_t bits)
+        : bits_(bits), words_(std::make_unique<std::uint64_t[]>(wordCount())) {}
 
     std::size_t size() const { return bits_; }
 
@@ -34,62 +41,76 @@ public:
         words_[i >> 6] &= ~(std::uint64_t(1) << (i & 63));
     }
 
-    void setRange(std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) set(i);
+    /// Sets bits [begin, end); returns how many of them were clear before.
+    std::size_t setRange(std::size_t begin, std::size_t end) {
+        std::size_t added = 0;
+        forEachWord(begin, end, [&added](std::uint64_t& w, std::uint64_t mask) {
+            added += std::size_t(std::popcount(mask & ~w));
+            w |= mask;
+        });
+        return added;
     }
 
     void clearRange(std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) clear(i);
+        forEachWord(begin, end, [](std::uint64_t& w, std::uint64_t mask) { w &= ~mask; });
     }
 
-    void clearAll() { std::fill(words_.begin(), words_.end(), 0); }
-
-    /// Shifts every bit down by `by` in place (bit i+by moves to bit i); the
-    /// vacated top bits clear. Allocation-free — the reassembly commit path
-    /// advances its bitmap origin with this on every in-sequence run.
-    void shiftDown(std::size_t by) {
-        if (by == 0) return;
-        if (by >= bits_) {
-            clearAll();
-            return;
-        }
-        const std::size_t wordShift = by >> 6;
-        const std::size_t bitShift = by & 63;
-        const std::size_t nw = words_.size();
-        for (std::size_t i = 0; i + wordShift < nw; ++i) {
-            std::uint64_t v = words_[i + wordShift] >> bitShift;
-            if (bitShift != 0 && i + wordShift + 1 < nw)
-                v |= words_[i + wordShift + 1] << (64 - bitShift);
-            words_[i] = v;
-        }
-        for (std::size_t i = nw - wordShift; i < nw; ++i) words_[i] = 0;
+    /// First set bit in [from, end), or `end` if there is none.
+    std::size_t findNextSet(std::size_t from, std::size_t end) const {
+        return find(from, end, 0);
     }
 
-    /// Grows to `bits` (new bits start clear); shrinking is not supported.
-    /// Used by receive-buffer autotuning — existing bit positions keep
-    /// their values, so parked out-of-order ranges survive a grow.
-    void grow(std::size_t bits) {
-        TCPLP_ASSERT(bits >= bits_);
-        bits_ = bits;
-        words_.resize((bits + 63) / 64, 0);
+    /// First clear bit in [from, end), or `end` if there is none.
+    std::size_t findNextClear(std::size_t from, std::size_t end) const {
+        return find(from, end, ~std::uint64_t(0));
     }
 
     /// Length of the run of set bits starting at `begin`.
     std::size_t countContiguousFrom(std::size_t begin) const {
-        std::size_t n = 0;
-        while (begin + n < bits_ && test(begin + n)) ++n;
-        return n;
+        return findNextClear(begin, bits_) - begin;
     }
 
     std::size_t popcount() const {
         std::size_t n = 0;
-        for (std::size_t i = 0; i < bits_; ++i) n += test(i);
+        for (std::size_t i = 0; i < wordCount(); ++i) n += std::size_t(std::popcount(words_[i]));
         return n;
     }
 
 private:
+    std::size_t wordCount() const { return (bits_ + 63) / 64; }
+
+    /// Calls fn(word, mask) for each word overlapping [begin, end), where
+    /// `mask` selects the word's bits inside the range.
+    template <typename Fn>
+    void forEachWord(std::size_t begin, std::size_t end, Fn&& fn) {
+        TCPLP_ASSERT(begin <= end && end <= bits_);
+        while (begin < end) {
+            const std::size_t bit = begin & 63;
+            const std::size_t n = std::min<std::size_t>(64 - bit, end - begin);
+            const std::uint64_t mask =
+                (n == 64 ? ~std::uint64_t(0) : (std::uint64_t(1) << n) - 1) << bit;
+            fn(words_[begin >> 6], mask);
+            begin += n;
+        }
+    }
+
+    /// First bit in [from, end) that differs from `skip`'s bits (`skip` is
+    /// all-zero to find a set bit, all-one to find a clear one), or `end`.
+    std::size_t find(std::size_t from, std::size_t end, std::uint64_t skip) const {
+        TCPLP_ASSERT(from <= end && end <= bits_);
+        if (from >= end) return end;
+        std::size_t wi = from >> 6;
+        std::uint64_t w = (words_[wi] ^ skip) & (~std::uint64_t(0) << (from & 63));
+        const std::size_t lastWord = (end - 1) >> 6;
+        while (w == 0) {
+            if (++wi > lastWord) return end;
+            w = words_[wi] ^ skip;
+        }
+        return std::min(end, (wi << 6) + std::size_t(std::countr_zero(w)));
+    }
+
     std::size_t bits_;
-    std::vector<std::uint64_t> words_;
+    std::unique_ptr<std::uint64_t[]> words_;  // zero-initialised
 };
 
 }  // namespace tcplp

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 #include "tcplp/common/assert.hpp"
 #include "tcplp/common/bytes.hpp"
@@ -27,8 +28,7 @@ public:
     /// Appends up to `src.size()` bytes; returns the number written.
     std::size_t write(BytesView src) {
         const std::size_t n = std::min(src.size(), free());
-        for (std::size_t i = 0; i < n; ++i)
-            data_[wrap(head_ + size_ + i)] = src[i];
+        copyIn(size_, src.first(n));
         size_ += n;
         return n;
     }
@@ -37,9 +37,8 @@ public:
     /// advancing size. Used by the in-place reassembly queue to deposit
     /// out-of-order data into its eventual position (paper Figure 1b).
     void writeAt(std::size_t off, BytesView src) {
-        TCPLP_ASSERT(off + src.size() <= capacity());
-        for (std::size_t i = 0; i < src.size(); ++i)
-            data_[wrap(head_ + size_ + off + i)] = src[i];
+        TCPLP_ASSERT(size_ + off + src.size() <= capacity());
+        copyIn(size_ + off, src);
     }
 
     /// Marks `n` bytes previously deposited via writeAt() as in-sequence.
@@ -51,7 +50,7 @@ public:
     /// Copies up to `dst.size()` bytes from the front without consuming.
     std::size_t peek(std::span<std::uint8_t> dst) const {
         const std::size_t n = std::min(dst.size(), size_);
-        for (std::size_t i = 0; i < n; ++i) dst[i] = data_[wrap(head_ + i)];
+        copyOut(dst.data(), n);
         return n;
     }
 
@@ -68,7 +67,7 @@ public:
     std::size_t readInto(std::size_t n, Bytes& out) {
         n = std::min(n, size_);
         out.resize(n);
-        for (std::size_t i = 0; i < n; ++i) out[i] = data_[wrap(head_ + i)];
+        copyOut(out.data(), n);
         consume(n);
         return n;
     }
@@ -91,6 +90,14 @@ public:
         size_ = 0;
     }
 
+    /// Physical slot of the byte `off` positions past the front. `off` may
+    /// reach past size() into the writeAt() deposit area; the in-place
+    /// reassembly queue indexes its bitmap by these slots.
+    std::size_t slot(std::size_t off) const {
+        TCPLP_ASSERT(off < capacity());
+        return wrap(head_ + off);
+    }
+
     /// Grows capacity, preserving the readable bytes AND any bytes deposited
     /// past the tail via writeAt() (the in-place reassembly queue): the whole
     /// old ring is re-linearized starting at head_, so every tail-relative
@@ -99,13 +106,31 @@ public:
         TCPLP_ASSERT(newCapacity >= capacity());
         if (newCapacity == capacity()) return;
         Bytes next(newCapacity, 0);
-        for (std::size_t i = 0; i < data_.size(); ++i) next[i] = data_[wrap(head_ + i)];
+        copyOut(next.data(), capacity());
         data_ = std::move(next);
         head_ = 0;
     }
 
 private:
     std::size_t wrap(std::size_t i) const { return i % data_.size(); }
+
+    /// Copies `src` to the bytes starting `off` past the front: at most two
+    /// memcpy calls, split at the physical end of the ring.
+    void copyIn(std::size_t off, BytesView src) {
+        if (src.empty()) return;
+        const std::size_t start = wrap(head_ + off);
+        const std::size_t first = std::min(src.size(), data_.size() - start);
+        std::memcpy(data_.data() + start, src.data(), first);
+        std::memcpy(data_.data(), src.data() + first, src.size() - first);
+    }
+
+    /// Copies the first `n` bytes past the front into `dst`.
+    void copyOut(std::uint8_t* dst, std::size_t n) const {
+        if (n == 0) return;
+        const std::size_t first = std::min(n, data_.size() - head_);
+        std::memcpy(dst, data_.data() + head_, first);
+        std::memcpy(dst + first, data_.data(), n - first);
+    }
 
     Bytes data_;
     std::size_t head_ = 0;

@@ -16,6 +16,8 @@
 #include <utility>
 #include <vector>
 
+#include "tcplp/common/assert.hpp"
+
 namespace tcplp {
 
 template <typename T>
@@ -26,6 +28,12 @@ public:
 
     T& front() { return slots_[head_]; }
     const T& front() const { return slots_[head_]; }
+
+    /// Element `i` positions from the front (0 = front).
+    const T& operator[](std::size_t i) const {
+        TCPLP_ASSERT(i < size_);
+        return slots_[wrap(head_ + i)];
+    }
 
     void push_back(T v) {
         reserveOne();

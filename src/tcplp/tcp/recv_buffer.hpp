@@ -9,10 +9,16 @@
 // This gives deterministic memory use (the paper's motivation for rejecting
 // FreeBSD's mbuf-chain buffers): buffer space is reserved up front and no
 // packet-heap allocation happens on the receive path.
+//
+// The bitmap is indexed by the ring's physical slot, not by offset from
+// rcv_nxt, so committing a run only clears its bits — nothing shifts — and
+// a running count of parked bytes makes outOfOrderBytes() O(1). Every
+// per-segment operation costs O(segment bytes / 64) plus, for SACK, the
+// distance to the last parked byte / 64; none grows with the capacity.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <vector>
 
 #include "tcplp/common/bitmap.hpp"
 #include "tcplp/common/ring_buffer.hpp"
@@ -22,6 +28,20 @@ namespace tcplp::tcp {
 struct RecvRange {
     std::size_t begin;  // offset past rcv_nxt
     std::size_t end;
+};
+
+/// Up to three SACK ranges (RFC 2018 fits at most three blocks beside the
+/// timestamp option), filled in place so emitting a segment allocates
+/// nothing.
+struct SackRanges {
+    static constexpr std::size_t kMax = 3;
+    std::array<RecvRange, kMax> ranges{};
+    std::size_t count = 0;
+
+    std::size_t size() const { return count; }
+    const RecvRange& operator[](std::size_t i) const { return ranges[i]; }
+    const RecvRange* begin() const { return ranges.data(); }
+    const RecvRange* end() const { return ranges.data() + count; }
 };
 
 class RecvBuffer {
@@ -45,12 +65,19 @@ public:
         if (n == 0) return 0;
 
         ring_.writeAt(offset, BytesView(data.data(), n));
-        oooMap_.setRange(offset, offset + n);
+        forEachSlotRange(offset, offset + n, [this](std::size_t b, std::size_t e) {
+            oooBytes_ += oooMap_.setRange(b, e);
+        });
 
-        const std::size_t run = oooMap_.countContiguousFrom(0);
-        if (run == 0) return 0;
-        ring_.commit(run);
-        shiftMap(run);
+        const std::size_t run = findPast(0, win, /*set=*/false);
+        if (run > 0) {
+            forEachSlotRange(0, run, [this](std::size_t b, std::size_t e) {
+                oooMap_.clearRange(b, e);
+            });
+            oooBytes_ -= run;
+            ring_.commit(run);
+        }
+        checkInvariants();
         return run;
     }
 
@@ -61,44 +88,104 @@ public:
     std::size_t readInto(std::size_t n, Bytes& out) { return ring_.readInto(n, out); }
 
     /// SACK blocks describing buffered out-of-order data, as offsets past
-    /// rcv_nxt, at most `maxBlocks` ranges (most recently useful first is
-    /// approximated by lowest-offset first).
-    std::vector<RecvRange> sackRanges(std::size_t maxBlocks = 3) const {
-        std::vector<RecvRange> out;
-        std::size_t i = 0;
-        const std::size_t limit = window();
-        while (i < limit && out.size() < maxBlocks) {
-            while (i < limit && !oooMap_.test(i)) ++i;
-            if (i >= limit) break;
-            std::size_t j = i;
-            while (j < limit && oooMap_.test(j)) ++j;
-            out.push_back(RecvRange{i, j});
-            i = j;
-        }
+    /// rcv_nxt (most recently useful first is approximated by lowest-offset
+    /// first). The scan stops once the ranges found cover every parked byte.
+    SackRanges sackRanges() const {
+        SackRanges out;
+        forEachParkedRun([&out](std::size_t b, std::size_t e) {
+            out.ranges[out.count++] = RecvRange{b, e};
+            return out.count < SackRanges::kMax;
+        });
         return out;
     }
 
     /// Total out-of-order bytes currently parked past the in-seq data.
-    std::size_t outOfOrderBytes() const { return oooMap_.popcount(); }
+    std::size_t outOfOrderBytes() const { return oooBytes_; }
 
     /// Grows the buffer in place (receive-buffer autotuning). In-sequence
-    /// bytes, parked out-of-order bytes, and their bitmap offsets are all
-    /// preserved; only the advertisable window gets larger. No-op if
+    /// bytes and parked out-of-order bytes are preserved at their offsets
+    /// past rcv_nxt; only the advertisable window gets larger. No-op if
     /// `newCapacity` does not exceed the current capacity.
     void grow(std::size_t newCapacity) {
         if (newCapacity <= capacity()) return;
+        // RingBuffer::grow re-linearises the ring from its front, so the
+        // byte `o` past rcv_nxt moves to slot readable() + o; its bit moves
+        // with it.
+        Bitmap next(newCapacity);
+        forEachParkedRun([this, &next](std::size_t b, std::size_t e) {
+            next.setRange(readable() + b, readable() + e);
+            return true;
+        });
         ring_.grow(newCapacity);
-        oooMap_.grow(newCapacity);
+        oooMap_ = std::move(next);
+        checkInvariants();
     }
 
 private:
-    void shiftMap(std::size_t by) {
-        // The bitmap is indexed relative to rcv_nxt; advance the origin.
-        oooMap_.shiftDown(by);
+    /// Calls fn(slotBegin, slotEnd) for the one or two physical slot ranges
+    /// holding the bytes [begin, end) past rcv_nxt.
+    template <typename Fn>
+    void forEachSlotRange(std::size_t begin, std::size_t end, Fn&& fn) const {
+        if (begin < end) forEachSlot(ring_.slot(readable() + begin), end - begin, fn);
+    }
+
+    /// Calls fn(slotBegin, slotEnd) for the `len` slots from `first` on,
+    /// split where the ring wraps.
+    template <typename Fn>
+    void forEachSlot(std::size_t first, std::size_t len, Fn&& fn) const {
+        const std::size_t head = std::min(len, capacity() - first);
+        fn(first, first + head);
+        if (head < len) fn(0, len - head);
+    }
+
+    /// Calls fn(begin, end) for each run of parked bytes, as offsets past
+    /// rcv_nxt, lowest first, until fn returns false or the runs visited
+    /// cover every parked byte.
+    template <typename Fn>
+    void forEachParkedRun(Fn&& fn) const {
+        const std::size_t limit = window();
+        std::size_t covered = 0;
+        for (std::size_t i = 0; covered < oooBytes_;) {
+            const std::size_t b = findPast(i, limit, /*set=*/true);
+            TCPLP_ASSERT(b < limit);
+            const std::size_t e = findPast(b, limit, /*set=*/false);
+            if (!fn(b, e)) return;
+            covered += e - b;
+            i = e;
+        }
+    }
+
+    /// First offset in [from, limit) past rcv_nxt whose bit equals `set`,
+    /// or `limit` if there is none.
+    std::size_t findPast(std::size_t from, std::size_t limit, bool set) const {
+        std::size_t found = limit;
+        std::size_t done = from;
+        forEachSlotRange(from, limit, [&](std::size_t b, std::size_t e) {
+            if (found != limit) return;
+            const std::size_t at =
+                set ? oooMap_.findNextSet(b, e) : oooMap_.findNextClear(b, e);
+            if (at < e) found = done + (at - b);
+            done += e - b;
+        });
+        return found;
+    }
+
+    /// Debug builds check the buffer's accounting after every mutation;
+    /// the checks cost O(capacity), so Release builds compile them out.
+    void checkInvariants() const {
+#ifndef NDEBUG
+        TCPLP_ASSERT(oooBytes_ == oooMap_.popcount());
+        // No bit is set in the readable (committed) region of the ring.
+        if (readable() == 0) return;
+        forEachSlot(ring_.slot(0), readable(), [this](std::size_t b, std::size_t e) {
+            TCPLP_ASSERT(oooMap_.findNextSet(b, e) == e);
+        });
+#endif
     }
 
     RingBuffer ring_;
-    Bitmap oooMap_;
+    Bitmap oooMap_;        // indexed by ring slot; set = parked out-of-order byte
+    std::size_t oooBytes_ = 0;  // == oooMap_.popcount()
 };
 
 }  // namespace tcplp::tcp

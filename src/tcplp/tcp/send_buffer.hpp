@@ -13,6 +13,9 @@
 //
 // Byte addressing is stream-relative: offset 0 is the first unacknowledged
 // byte (snd_una). ack() slides the origin forward and releases whole nodes.
+// A cursor remembers the node the last read touched, so (re)transmissions
+// walk only the nodes between it and the requested offset, not the list
+// from snd_una.
 #pragma once
 
 #include <cstdint>
@@ -87,17 +90,28 @@ public:
     void ack(std::size_t n) {
         TCPLP_ASSERT(n <= size_);
         size_ -= n;
-        while (n > 0 && !nodes_.empty()) {
+        std::size_t popped = 0;
+        for (std::size_t left = n; left > 0 && !nodes_.empty();) {
             Node& head = nodes_.front();
-            if (head.len <= n) {
-                n -= head.len;
+            if (head.len <= left) {
+                left -= head.len;
                 nodes_.pop_front();
+                ++popped;
             } else {
-                head.off += n;
-                head.len -= n;
-                n = 0;
+                head.off += left;
+                head.len -= left;
+                left = 0;
             }
         }
+        // Nodes past the new front keep their place in the stream; the
+        // front node (trimmed or not) now starts at offset 0.
+        if (cursor_.node > popped) {
+            cursor_.node -= popped;
+            cursor_.start -= n;
+        } else {
+            cursor_ = Cursor{};
+        }
+        checkCursor();
     }
 
     std::size_t nodeCount() const { return nodes_.size(); }
@@ -124,27 +138,50 @@ private:
         }
     };
 
+    /// A node index and the stream offset at which that node starts.
+    struct Cursor {
+        std::size_t node = 0;
+        std::size_t start = 0;
+    };
+
+    /// Copies [offset, offset + len) into `dst`; requires offset + len <=
+    /// size(). Moves the cursor from wherever the last read left it, so a
+    /// read costs the nodes between the two offsets plus the nodes copied.
     void gather(std::size_t offset, std::size_t len, std::uint8_t* dst) const {
+        if (len == 0) return;
+        TCPLP_ASSERT(offset + len <= size_);
+        while (cursor_.start > offset) cursor_.start -= nodes_[--cursor_.node].len;
+        while (cursor_.start + nodes_[cursor_.node].len <= offset)
+            cursor_.start += nodes_[cursor_.node++].len;
         std::size_t written = 0;
-        std::size_t pos = 0;
-        for (const Node& node : nodes_) {
+        for (;;) {
+            const Node& node = nodes_[cursor_.node];
+            const std::size_t skip = offset + written - cursor_.start;
+            const std::size_t want = std::min(node.len - skip, len - written);
+            if (want > 0) std::memcpy(dst + written, node.bytes() + node.off + skip, want);
+            written += want;
             if (written == len) break;
-            const std::size_t nodeEnd = pos + node.len;
-            if (nodeEnd > offset) {
-                const std::size_t start = (offset > pos) ? offset - pos : 0;
-                const std::size_t want = std::min(node.len - start, len - written);
-                std::memcpy(dst + written, node.bytes() + node.off + start, want);
-                written += want;
-            }
-            pos = nodeEnd;
-            if (pos >= offset + len) break;
+            cursor_.start += node.len;
+            ++cursor_.node;
         }
-        TCPLP_ASSERT(written == len);
+        checkCursor();
+    }
+
+    /// Debug builds check that the cursor's offset is the sum of the node
+    /// lengths before it (O(nodes), so Release builds compile it out).
+    void checkCursor() const {
+#ifndef NDEBUG
+        std::size_t start = 0;
+        for (std::size_t i = 0; i < cursor_.node; ++i) start += nodes_[i].len;
+        TCPLP_ASSERT(start == cursor_.start);
+        TCPLP_ASSERT(cursor_.node <= nodes_.size());
+#endif
     }
 
     std::size_t capacity_;
     std::size_t size_ = 0;
     RingDeque<Node> nodes_;
+    mutable Cursor cursor_;  // moved by const reads; rebased by ack()
 };
 
 }  // namespace tcplp::tcp

@@ -1072,18 +1072,22 @@ void TcpSocket::mergeSack(SackBlock block) {
     if (seqLe(block.end, tcb_.sndUna)) return;
     if (seqLt(block.begin, tcb_.sndUna)) block.begin = tcb_.sndUna;
 
-    scoreboard_.push_back(block);
-    std::sort(scoreboard_.begin(), scoreboard_.end(),
-              [](const SackBlock& a, const SackBlock& b) { return seqLt(a.begin, b.begin); });
-    std::vector<SackBlock> merged;
-    for (const SackBlock& b : scoreboard_) {
-        if (!merged.empty() && seqGe(merged.back().end, b.begin)) {
-            merged.back().end = seqMax(merged.back().end, b.end);
-        } else {
-            merged.push_back(b);
-        }
+    // The scoreboard is sorted by begin and coalesced (no two blocks touch),
+    // so the blocks the new one touches are adjacent: absorb them into the
+    // first and erase the rest, or insert the block where it sorts.
+    auto first = std::find_if(scoreboard_.begin(), scoreboard_.end(),
+                              [&](const SackBlock& b) { return seqGe(b.end, block.begin); });
+    auto last = first;
+    for (; last != scoreboard_.end() && seqLe(last->begin, block.end); ++last) {
+        block.begin = seqMin(block.begin, last->begin);
+        block.end = seqMax(block.end, last->end);
     }
-    scoreboard_ = std::move(merged);
+    if (first == last) {
+        scoreboard_.insert(first, block);
+    } else {
+        *first = block;
+        scoreboard_.erase(first + 1, last);
+    }
 }
 
 void TcpSocket::processSackBlocks(const std::vector<SackBlock>& blocks) {
