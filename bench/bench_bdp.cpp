@@ -16,7 +16,8 @@
 //             aggregation axis.
 //
 // The bdp_pipe presenter emits ONE line of JSON to stdout as its last line
-// (the BENCH_bdp.json file, refreshed with `./build/bench_bdp | tail -n 1`),
+// (the BENCH_bdp.json file, refreshed with
+// `./build/tcplp_campaign --filter bdp_ --tables --quiet | tail -n 1`),
 // carrying scaled/unscaled goodput at the gate point and the ratio CI
 // asserts on (>= 2x). Keep bdp_pipe registered LAST in this TU so its
 // presenter prints last.

@@ -15,10 +15,10 @@
 //
 // The lossy presenter emits ONE line of JSON to stdout as its last line
 // (the BENCH_cc.json trajectory file, refreshed with
-// `./build/bench_cc_shootout | tail -n 1`), carrying the per-strategy
-// goodput at the 5%-loss gate point and the cerl_vs_newreno ratio that CI
-// asserts on. Keep lossy_line_cc_shootout registered LAST in this TU so its
-// presenter prints last.
+// `./build/tcplp_campaign --filter cc_shootout --tables --quiet | tail -n 1`),
+// carrying the per-strategy goodput at the 5%-loss gate point and the
+// cerl_vs_newreno ratio that CI asserts on. Keep lossy_line_cc_shootout
+// registered LAST in this TU so its presenter prints last.
 #include "bench/driver.hpp"
 #include "tcplp/tcp/cc.hpp"
 

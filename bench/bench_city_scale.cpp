@@ -1,20 +1,19 @@
 // Megascale single-core datapath bench: the city_scale scenario (a 1,024-node
-// grid with 24 saturating mixed-direction TCP flows) plus a current-vs-legacy
-// engine comparison on grid200_dense.
+// grid with 24 saturating mixed-direction TCP flows) plus grid200_dense on
+// the same engine.
 //
 // The presenter emits ONE line of JSON to stdout (the BENCH_city.json
-// trajectory file, refreshed with `./build/bench_city_scale | tail -n 1`):
+// trajectory file, refreshed with
+// `./build/tcplp_campaign --filter city_scale --tables --quiet | tail -n 1`):
 //
-//   {"bench":"city_scale","nodes":1024,...,"engine_speedup":...}
+//   {"bench":"city_scale","nodes":1024,...,"city_listener_visits_per_frame":...}
 //
-// Three sweep points, bound from the `config` axis:
-//   0  city_scale spec, current engine (slab pool + batched spatial delivery)
-//   1  grid200_dense, current engine
-//   2  grid200_dense, legacy engine (TopologySpec::legacyDatapath: seed-era
-//      linear-scan delivery, no frame pooling — the pre-PR datapath)
-// engine_speedup = delivered-frames/sec of 1 over 2. All switches are
-// RNG-neutral, so configs 1 and 2 replay the identical simulation and the
-// speedup measures the engine, not the workload.
+// Two sweep points, bound from the `config` axis:
+//   0  city_scale spec (slab pool + batched spatial delivery)
+//   1  grid200_dense
+// city_listener_visits_per_frame counts the candidate radios the channel
+// examines per transmitted frame: the spatial index keeps it near the
+// neighbourhood size at any node count, where a linear scan reads ~N-1.
 //
 // Heap discipline is measured with the shared counting operator new
 // (bench/alloc_count.hpp): the
@@ -71,19 +70,18 @@ ScenarioDef def() {
     d.name = "city_scale";
     d.title = "City-scale grid: 1,024 nodes, 24 flows, one core";
     d.base = scenario::cityScaleSpec();
-    d.axes = {{"config", {0, 1, 2}}};
+    d.axes = {{"config", {0, 1}}};
     d.seeds = {1};
     d.bind = [](ScenarioSpec& s, const Point& p) {
         const int config = int(p.value("config"));
         if (config == 0) return;  // the city spec itself
         s = scenario::grid200DenseSpec(30 * sim::kSecond);
         s.topology.datapathCounters = true;
-        s.topology.legacyDatapath = config == 2;
     };
     d.measure = [](const ScenarioSpec& spec, const Point& p) {
         // Best-of-5 wall: a 30 s sim here lands in tens of milliseconds of
-        // wall, where one scheduler hiccup swings the grid200 engine A/B
-        // ratio by ~10%. Each rep replays the identical simulation with its
+        // wall, where one scheduler hiccup swings frames/s by ~10%. Each rep
+        // replays the identical simulation with its
         // own fresh simulator and pool (every non-timing field — and the
         // allocation counts — is rep-invariant), so the fastest wall is the
         // least-perturbed measurement of the same computation.
@@ -124,15 +122,15 @@ ScenarioDef def() {
     };
     d.present = [](const SweepResult& r) {
         // Rows by config value; golden-trimmed sweeps carry config 0 only.
-        const scenario::MetricRow* rows[3] = {nullptr, nullptr, nullptr};
+        const scenario::MetricRow* rows[2] = {nullptr, nullptr};
         for (const auto& record : r.records) {
             const int config = int(record.point.value("config"));
-            if (config >= 0 && config <= 2) rows[config] = &record.row;
+            if (config >= 0 && config <= 1) rows[config] = &record.row;
         }
-        static const char* kLabels[3] = {"city_1024", "grid200", "grid200_legacy"};
+        static const char* kLabels[2] = {"city_1024", "grid200"};
         std::printf("%-16s %12s %10s %12s %12s %14s\n", "Config", "frames",
                     "wall ms", "frames/s", "allocs/frm", "pool recycled");
-        for (int c = 0; c < 3; ++c) {
+        for (int c = 0; c < 2; ++c) {
             if (rows[c] == nullptr) continue;
             const auto& row = *rows[c];
             const double recycled = row.number("pool_recycled");
@@ -144,37 +142,31 @@ ScenarioDef def() {
                         100.0 * recycled / std::max(1.0, recycled + fresh));
         }
         const scenario::MetricRow* city = rows[0];
-        const double gridFps = rows[1] ? rows[1]->number("frames_per_sec") : 0.0;
-        const double legacyFps = rows[2] ? rows[2]->number("frames_per_sec") : 0.0;
-        const double speedup = legacyFps > 0.0 ? gridFps / legacyFps : 0.0;
-        std::printf("\nengine speedup on grid200_dense (current vs legacy "
-                    "datapath): %.2fx\n\n",
-                    speedup);
-        const std::size_t nodes =
-            r.def != nullptr ? r.def->base.topology.nodes : 0;
+        const double cityFrames = city ? city->number("frames_tx") : 0.0;
+        const double visitsPerFrame =
+            cityFrames > 0.0 ? city->number("listener_visits") / cityFrames : 0.0;
+        std::printf("\n");
         std::printf(
             "{\"bench\":\"city_scale\",\"nodes\":%zu,\"flows\":24,"
             "\"city_frames\":%.0f,\"city_wall_ms\":%.0f,"
             "\"city_frames_per_sec\":%.0f,"
             "\"city_steady_allocs_per_frame\":%.4f,"
             "\"city_total_allocs_per_frame\":%.4f,"
+            "\"city_listener_visits_per_frame\":%.2f,"
             "\"pool_recycled\":%.0f,\"pool_fresh\":%.0f,"
             "\"neighbor_rebuilds\":%.0f,\"smallfn_heap_fallbacks\":%.0f,"
             "\"prepend_fallbacks\":%.0f,"
-            "\"grid200_frames_per_sec\":%.0f,"
-            "\"grid200_legacy_frames_per_sec\":%.0f,"
-            "\"engine_speedup\":%.2f}\n",
-            nodes, city ? city->number("frames_tx") : 0.0,
-            city ? city->number("wall_ms") : 0.0,
+            "\"grid200_frames_per_sec\":%.0f}\n",
+            r.def.base.topology.nodes, cityFrames, city ? city->number("wall_ms") : 0.0,
             city ? city->number("frames_per_sec") : 0.0,
             city ? city->number("steady_allocs_per_frame") : 0.0,
-            city ? city->number("total_allocs_per_frame") : 0.0,
+            city ? city->number("total_allocs_per_frame") : 0.0, visitsPerFrame,
             city ? city->number("pool_recycled") : 0.0,
             city ? city->number("pool_fresh") : 0.0,
             city ? city->number("neighbor_rebuilds") : 0.0,
             city ? city->number("smallfn_heap_fallbacks") : 0.0,
-            city ? city->number("prepend_fallbacks") : 0.0, gridFps, legacyFps,
-            speedup);
+            city ? city->number("prepend_fallbacks") : 0.0,
+            rows[1] ? rows[1]->number("frames_per_sec") : 0.0);
     };
     return d;
 }

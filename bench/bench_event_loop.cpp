@@ -1,5 +1,5 @@
-// Event-core microbenchmark: pooled scheduler (heap and timer-wheel
-// backends) vs the seed design.
+// Event-core microbenchmark: the pooled scheduler on its binary-heap and
+// timer-wheel backends.
 //
 // The presenter emits ONE line of JSON to stdout so future PRs can track
 // the perf trajectory in BENCH_*.json files:
@@ -14,17 +14,12 @@
 // counting operator new (bench/alloc_count.hpp) — no instrumentation in the
 // measured code.
 //
-// "Legacy" is a frozen copy of the seed scheduler (shared_ptr<State> per
-// event + type-erased std::function + lazy-cancel priority_queue), kept here
-// so the comparison survives the seed's replacement. "Pooled" is the slab
-// pool + indexed binary heap; "wheel" is the same pool behind the
-// hierarchical TimerWheel backend (sim/scheduler.hpp) — both fire the
-// identical event order, so the delta is pure scheduler cost.
+// "Pooled" is the slab pool + indexed binary heap; "wheel" is the same pool
+// behind the hierarchical TimerWheel backend (sim/scheduler.hpp) — both fire
+// the identical event order, so the delta is pure scheduler cost.
 #include <chrono>
 #include <cstdio>
-#include <functional>
 #include <memory>
-#include <queue>
 #include <vector>
 
 #include "bench/alloc_count.hpp"
@@ -34,83 +29,6 @@
 namespace {
 
 using tcplp::sim::Time;
-
-// --- Frozen seed scheduler (the "before") ----------------------------------
-
-class LegacySimulator;
-
-class LegacyEventHandle {
-public:
-    LegacyEventHandle() = default;
-    void cancel() {
-        if (auto s = state_.lock()) s->cancelled = true;
-        state_.reset();
-    }
-
-private:
-    friend class LegacySimulator;
-    struct State {
-        bool cancelled = false;
-        bool fired = false;
-    };
-    explicit LegacyEventHandle(std::weak_ptr<State> state) : state_(std::move(state)) {}
-    std::weak_ptr<State> state_;
-};
-
-class LegacySimulator {
-public:
-    Time now() const { return now_; }
-
-    LegacyEventHandle schedule(Time delay, std::function<void()> fn) {
-        auto state = std::make_shared<LegacyEventHandle::State>();
-        queue_.push(Event{now_ + delay, nextSeq_++, state, std::move(fn)});
-        return LegacyEventHandle(state);
-    }
-
-    void run() {
-        while (!queue_.empty()) {
-            Event ev = std::move(const_cast<Event&>(queue_.top()));
-            queue_.pop();
-            now_ = ev.when;
-            if (!ev.state->cancelled) {
-                ev.state->fired = true;
-                ev.fn();
-            }
-        }
-    }
-
-private:
-    struct Event {
-        Time when;
-        std::uint64_t seq;
-        std::shared_ptr<LegacyEventHandle::State> state;
-        std::function<void()> fn;
-    };
-    struct Later {
-        bool operator()(const Event& a, const Event& b) const {
-            if (a.when != b.when) return a.when > b.when;
-            return a.seq > b.seq;
-        }
-    };
-    Time now_ = 0;
-    std::uint64_t nextSeq_ = 0;
-    std::priority_queue<Event, std::vector<Event>, Later> queue_;
-};
-
-class LegacyTimer {
-public:
-    LegacyTimer(LegacySimulator& simulator, std::function<void()> fn)
-        : simulator_(simulator), fn_(std::move(fn)) {}
-    void start(Time delay) {
-        handle_.cancel();
-        handle_ = simulator_.schedule(delay, [this] { fn_(); });
-    }
-
-private:
-    LegacySimulator& simulator_;
-    std::function<void()> fn_;
-    LegacyEventHandle handle_;
-};
 
 // --- Workload ---------------------------------------------------------------
 
@@ -123,15 +41,14 @@ struct RunResult {
     double eventsPerSec = 0.0;
 };
 
-template <typename Sim, typename Tmr, typename... Args>
-RunResult runWorkload(Args&&... args) {
-    Sim simulator(std::forward<Args>(args)...);
+RunResult runWorkload(tcplp::sim::SchedulerKind scheduler) {
+    tcplp::sim::Simulator simulator(tcplp::sim::SimConfig{1, scheduler});
     std::uint64_t fired = 0;
-    std::vector<std::unique_ptr<Tmr>> timers;
+    std::vector<std::unique_ptr<tcplp::sim::Timer>> timers;
     timers.reserve(kTimers);
     constexpr Time kMs = tcplp::sim::kMillisecond;  // protocol timers are ms-scale
     for (int i = 0; i < kTimers; ++i) {
-        timers.push_back(std::make_unique<Tmr>(simulator, [&, i] {
+        timers.push_back(std::make_unique<tcplp::sim::Timer>(simulator, [&, i] {
             ++fired;
             if (fired >= kEvents) return;
             // Re-arm self (the RTO idiom)...
@@ -165,21 +82,16 @@ using namespace bench;
 ScenarioDef def() {
     ScenarioDef d;
     d.name = "event_loop";
-    d.title = "Event-core microbench: pooled scheduler vs the seed design";
+    d.title = "Event-core microbench: pooled scheduler, heap vs timer-wheel backend";
     d.measure = [](const ScenarioSpec&, const Point&) {
         using tcplp::sim::SchedulerKind;
-        using tcplp::sim::SimConfig;
         // Delta, not the absolute counter: the global accumulates across
         // every simulation this process ran before (in a campaign a worker
         // executes other scenarios' points back-to-back), and rows must be
         // independent of execution order.
         const std::uint64_t fallbacksBefore = tcplp::sim::SmallFn::heapFallbacks();
-        const RunResult pooled = runWorkload<tcplp::sim::Simulator, tcplp::sim::Timer>(
-            SimConfig{1, SchedulerKind::kBinaryHeap});
-        const RunResult wheel = runWorkload<tcplp::sim::Simulator, tcplp::sim::Timer>(
-            SimConfig{1, SchedulerKind::kTimerWheel});
-        const RunResult legacy = runWorkload<LegacySimulator, LegacyTimer>();
-        const double denom = pooled.allocsPerEvent > 1e-9 ? pooled.allocsPerEvent : 1e-9;
+        const RunResult pooled = runWorkload(SchedulerKind::kBinaryHeap);
+        const RunResult wheel = runWorkload(SchedulerKind::kTimerWheel);
         scenario::MetricRow row;
         row.set("events", kEvents)
             .set("timers", std::int64_t(kTimers))
@@ -190,10 +102,6 @@ ScenarioDef def() {
             .set("wheel_ns_per_event", wheel.nsPerEvent)
             .set("wheel_allocs_per_event", wheel.allocsPerEvent)
             .set("wheel_vs_heap_speedup", pooled.nsPerEvent / wheel.nsPerEvent)
-            .set("legacy_events_per_sec", legacy.eventsPerSec)
-            .set("legacy_ns_per_event", legacy.nsPerEvent)
-            .set("legacy_allocs_per_event", legacy.allocsPerEvent)
-            .set("alloc_reduction_factor", legacy.allocsPerEvent / denom)
             .set("smallfn_heap_fallbacks",
                  tcplp::sim::SmallFn::heapFallbacks() - fallbacksBefore);
         return row;
@@ -206,17 +114,12 @@ ScenarioDef def() {
             "\"pooled_allocs_per_event\":%.6f,"
             "\"wheel_events_per_sec\":%.0f,\"wheel_ns_per_event\":%.1f,"
             "\"wheel_allocs_per_event\":%.6f,\"wheel_vs_heap_speedup\":%.2f,"
-            "\"legacy_events_per_sec\":%.0f,\"legacy_ns_per_event\":%.1f,"
-            "\"legacy_allocs_per_event\":%.6f,"
-            "\"alloc_reduction_factor\":%.1f,"
             "\"smallfn_heap_fallbacks\":%.0f}\n",
             row.number("events"), row.number("timers"),
             row.number("pooled_events_per_sec"), row.number("pooled_ns_per_event"),
             row.number("pooled_allocs_per_event"), row.number("wheel_events_per_sec"),
             row.number("wheel_ns_per_event"), row.number("wheel_allocs_per_event"),
-            row.number("wheel_vs_heap_speedup"), row.number("legacy_events_per_sec"),
-            row.number("legacy_ns_per_event"), row.number("legacy_allocs_per_event"),
-            row.number("alloc_reduction_factor"), row.number("smallfn_heap_fallbacks"));
+            row.number("wheel_vs_heap_speedup"), row.number("smallfn_heap_fallbacks"));
     };
     return d;
 }

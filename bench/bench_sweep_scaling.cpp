@@ -1,10 +1,11 @@
-// Sweep-runner scaling harness (own main, not a registry scenario).
+// Campaign-runner scaling harness (own main, not a registry scenario).
 //
 // Two rows of JSON (BENCH_sweep.json):
 //
-//  1. Within-scenario sharding: the sweep_smoke grid over an 8-seed list
-//     serially and at --jobs 8, merged JSON verified byte-identical.
-//  2. Cross-scenario sharding: a Campaign over sweep_smoke + sec72_hops —
+//  1. Within-scenario sharding: a one-scenario campaign over the
+//     sweep_smoke grid with an 8-seed list, serially and at --jobs 8,
+//     merged rows verified byte-identical.
+//  2. Cross-scenario sharding: a campaign over sweep_smoke + sec72_hops —
 //     one worker pool executing points from BOTH scenarios back-to-back —
 //     serial vs --jobs 8, canonical output verified byte-identical.
 //
@@ -19,7 +20,6 @@
 #include <cstdio>
 
 #include "bench/driver.hpp"
-#include "tcplp/scenario/campaign.hpp"
 
 namespace {
 
@@ -40,43 +40,8 @@ int main() {
     }
     const long cores = sysconf(_SC_NPROCESSORS_ONLN);
 
-    // --- Row 1: within-scenario sharding (the PR 3 runner) ----------------
-    // 8 seeds on the 2-hop uplink cell: one run point per seed.
-    ScenarioDef scaled = *def;
-    scaled.axes = {{"hops", {2}}, {"uplink", {1}}};
-    scaled.seeds = {1, 2, 3, 4, 5, 6, 7, 8};
-
-    const auto timeRun = [&scaled](int jobs, SweepResult& out) {
-        const auto t0 = std::chrono::steady_clock::now();
-        out = runSweep(scaled, SweepOptions{jobs, {}});
-        return msSince(t0);
-    };
-
-    SweepResult serial, parallel;
-    const double serialMs = timeRun(1, serial);
-    const double parallelMs = timeRun(8, parallel);
-    if (!serial.ok || !parallel.ok) {
-        std::fprintf(stderr, "sweep failed: %s%s\n", serial.error.c_str(),
-                     parallel.error.c_str());
-        return 1;
-    }
-    if (serial.jsonLines() != parallel.jsonLines()) {
-        std::fprintf(stderr, "determinism violated: --jobs 8 output differs from serial\n");
-        return 1;
-    }
-    std::printf("{\"bench\":\"sweep\",\"scenario\":\"sweep_smoke\",\"points\":%zu,"
-                "\"jobs\":8,\"cores\":%ld,\"serial_ms\":%.1f,\"parallel_ms\":%.1f,"
-                "\"speedup\":%.2f,\"byte_identical\":true}\n",
-                serial.records.size(), cores, serialMs, parallelMs,
-                serialMs / parallelMs);
-
-    // --- Row 2: cross-scenario campaign sharding --------------------------
-    std::vector<ScenarioDef> defs;
-    defs.push_back(scaled);
-    if (const ScenarioDef* hops = Registry::instance().find("sec72_hops"))
-        defs.push_back(*hops);
-
-    const auto timeCampaign = [&defs](int jobs, CampaignResult& out) {
+    const auto timeCampaign = [](const std::vector<ScenarioDef>& defs, int jobs,
+                                 CampaignResult& out) {
         CampaignOptions options;
         options.jobs = jobs;
         const auto t0 = std::chrono::steady_clock::now();
@@ -84,9 +49,38 @@ int main() {
         return msSince(t0);
     };
 
+    // --- Row 1: within-scenario sharding ----------------------------------
+    // 8 seeds on the 2-hop uplink cell: one run point per seed.
+    ScenarioDef scaled = *def;
+    scaled.axes = {{"hops", {2}}, {"uplink", {1}}};
+    scaled.seeds = {1, 2, 3, 4, 5, 6, 7, 8};
+
+    CampaignResult serial, parallel;
+    const double serialMs = timeCampaign({scaled}, 1, serial);
+    const double parallelMs = timeCampaign({scaled}, 8, parallel);
+    if (!serial.ok || !parallel.ok) {
+        std::fprintf(stderr, "sweep failed: %s%s\n", serial.error.c_str(),
+                     parallel.error.c_str());
+        return 1;
+    }
+    if (serial.scenarios[0].jsonLines() != parallel.scenarios[0].jsonLines()) {
+        std::fprintf(stderr, "determinism violated: --jobs 8 output differs from serial\n");
+        return 1;
+    }
+    std::printf("{\"bench\":\"sweep\",\"scenario\":\"sweep_smoke\",\"points\":%zu,"
+                "\"jobs\":8,\"cores\":%ld,\"serial_ms\":%.1f,\"parallel_ms\":%.1f,"
+                "\"speedup\":%.2f,\"byte_identical\":true}\n",
+                serial.pointsRun, cores, serialMs, parallelMs, serialMs / parallelMs);
+
+    // --- Row 2: cross-scenario campaign sharding --------------------------
+    std::vector<ScenarioDef> defs;
+    defs.push_back(scaled);
+    if (const ScenarioDef* hops = Registry::instance().find("sec72_hops"))
+        defs.push_back(*hops);
+
     CampaignResult campSerial, campParallel;
-    const double campSerialMs = timeCampaign(1, campSerial);
-    const double campParallelMs = timeCampaign(8, campParallel);
+    const double campSerialMs = timeCampaign(defs, 1, campSerial);
+    const double campParallelMs = timeCampaign(defs, 8, campParallel);
     if (!campSerial.ok || !campParallel.ok) {
         std::fprintf(stderr, "campaign failed: %s%s\n", campSerial.error.c_str(),
                      campParallel.error.c_str());
@@ -97,12 +91,10 @@ int main() {
                      "determinism violated: campaign --jobs 8 differs from serial\n");
         return 1;
     }
-    std::size_t points = 0;
-    for (const CampaignScenario& s : campSerial.scenarios) points += s.records.size();
     std::printf("{\"bench\":\"campaign\",\"scenarios\":%zu,\"points\":%zu,"
                 "\"jobs\":8,\"cores\":%ld,\"serial_ms\":%.1f,\"parallel_ms\":%.1f,"
                 "\"speedup\":%.2f,\"byte_identical\":true}\n",
-                campSerial.scenarios.size(), points, cores, campSerialMs, campParallelMs,
-                campSerialMs / campParallelMs);
+                campSerial.scenarios.size(), campSerial.pointsRun, cores, campSerialMs,
+                campParallelMs, campSerialMs / campParallelMs);
     return 0;
 }

@@ -2,7 +2,7 @@
 // cheap enough for CI to run at --jobs 4, real enough to exercise the full
 // line-topology bulk path on every worker. CI runs
 //
-//   tcplp_bench --filter sweep_smoke --jobs 4 --json
+//   tcplp_campaign --filter sweep_smoke --jobs 4 --quiet
 //
 // and fails on any worker nonzero exit or malformed JSON line; the
 // determinism tests and bench_sweep_scaling reuse the same definition.

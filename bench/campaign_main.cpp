@@ -1,14 +1,16 @@
-// tcplp_campaign: the cross-scenario campaign orchestrator CLI.
+// tcplp_campaign: the one CLI for every registered scenario.
 //
-// Expands every linked scenario's axis grid x seeds into one flat run-point
-// list, shards it across a single pool of forked workers, and emits one
-// canonical JSON object per point (timing fields stripped — byte-identical
-// for any --jobs N). Usage:
+// Expands every selected scenario's axis grid x seeds into one flat
+// run-point list, shards it across a single pool of forked workers, and
+// emits one canonical JSON object per point (timing fields stripped —
+// byte-identical for any --jobs N), or with --tables each scenario's
+// paper-style table. Usage:
 //
 //   tcplp_campaign [--list] [--filter SUBSTR] [--subset golden] [--jobs N]
 //                  [--out DIR] [--resume] [--golden DIR] [--check]
-//                  [--present-golden DIR] [--seeds a,b,c] [--quiet]
-//                  [--wall-out FILE] [--wall-check FILE] [--wall-tolerance T]
+//                  [--present-golden DIR] [--seeds a,b,c] [--tables]
+//                  [--quiet] [--wall-out FILE] [--wall-check FILE]
+//                  [--wall-tolerance T]
 //
 //   --list      print the selected scenarios; binds and validates every
 //               grid point and exits 1 if any sets a knob its runner
@@ -27,6 +29,9 @@
 //               timing-stripped rows, so the text is deterministic) to
 //               D/<name>.txt — or diff against the snapshots with --check
 //   --seeds     override every scenario's seed list
+//   --tables    instead of the canonical rows, print each scenario's
+//               "=== title ===" header and presenter table (or its rows as
+//               JSON, timing fields kept, when it has no presenter)
 //   --quiet     suppress per-scenario progress on stderr
 //   --wall-out F      record the campaign's total wall time to F (JSON)
 //   --wall-check F    fail (exit 1) if this run's wall time drifts more than
@@ -38,19 +43,34 @@
 // --wall-check pair as a coarse perf tripwire; see docs/SCENARIOS.md.
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "tcplp/scenario/campaign.hpp"
+#include "bench/driver.hpp"
 
 namespace {
+
+/// A positive integer job count; anything else (a suffix, zero, a
+/// negative or out-of-range value) is rejected rather than truncated.
+bool parseJobs(const char* text, int& out) {
+    char* end = nullptr;
+    errno = 0;
+    const long v = std::strtol(text, &end, 10);
+    if (end == text || *end != '\0' || errno != 0 || v < 1 ||
+        v > std::numeric_limits<int>::max())
+        return false;
+    out = int(v);
+    return true;
+}
 
 bool parseSeedList(const char* text, std::vector<std::uint64_t>& out) {
     const char* p = text;
@@ -69,8 +89,9 @@ int usage(const char* argv0) {
     std::fprintf(stderr,
                  "usage: %s [--list] [--filter SUBSTR] [--subset golden] [--jobs N]\n"
                  "          [--out DIR] [--resume] [--golden DIR] [--check]\n"
-                 "          [--present-golden DIR] [--seeds a,b,c] [--quiet]\n"
-                 "          [--wall-out FILE] [--wall-check FILE] [--wall-tolerance T]\n",
+                 "          [--present-golden DIR] [--seeds a,b,c] [--tables]\n"
+                 "          [--quiet] [--wall-out FILE] [--wall-check FILE]\n"
+                 "          [--wall-tolerance T]\n",
                  argv0);
     return 2;
 }
@@ -79,21 +100,19 @@ int usage(const char* argv0) {
 /// renders TIMING-STRIPPED copies of the rows: any presenter that reads a
 /// wall-clock field sees 0, so the snapshot text is a deterministic function
 /// of (spec, seed) and can be golden-pinned like the JSONL artifacts.
-std::string capturePresentation(const tcplp::scenario::CampaignScenario& s) {
+std::string capturePresentation(const tcplp::scenario::ScenarioResult& s) {
     using namespace tcplp::scenario;
-    SweepResult sweep;
-    sweep.def = &s.def;
-    sweep.ok = true;
-    sweep.records.reserve(s.records.size());
+    ScenarioResult stripped{s.def, {}};
+    stripped.records.reserve(s.records.size());
     for (const RunRecord& rec : s.records)
-        sweep.records.push_back(RunRecord{rec.point, stripTimingFields(rec.row)});
+        stripped.records.push_back(RunRecord{rec.point, stripTimingFields(rec.row)});
 
     std::fflush(stdout);
     FILE* sink = std::tmpfile();
     if (sink == nullptr) return {};
     const int saved = dup(fileno(stdout));
     dup2(fileno(sink), fileno(stdout));
-    s.def.present(sweep);
+    s.def.present(stripped);
     std::fflush(stdout);
     dup2(saved, fileno(stdout));
     close(saved);
@@ -150,13 +169,18 @@ bool readWallRecord(const std::string& path, double& wallMs) {
 int main(int argc, char** argv) {
     using namespace tcplp::scenario;
 
-    bool list = false, check = false, quiet = false;
+    bool list = false, check = false, quiet = false, tables = false;
     std::string filter, subset, goldenDir, presentDir;
     std::string wallOut, wallCheck;
     double wallTolerance = 0.2;
     CampaignOptions options;
     options.progress = true;
-    if (const char* env = std::getenv("TCPLP_BENCH_JOBS")) options.jobs = std::atoi(env);
+    if (const char* env = std::getenv("TCPLP_BENCH_JOBS")) {
+        if (!parseJobs(env, options.jobs)) {
+            std::fprintf(stderr, "bad TCPLP_BENCH_JOBS: %s\n", env);
+            return 2;
+        }
+    }
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -174,12 +198,17 @@ int main(int argc, char** argv) {
             check = true;
         } else if (arg == "--quiet") {
             quiet = true;
+        } else if (arg == "--tables") {
+            tables = true;
         } else if (const char* v = valueOf("--filter")) {
             filter = v;
         } else if (const char* v = valueOf("--subset")) {
             subset = v;
         } else if (const char* v = valueOf("--jobs")) {
-            options.jobs = std::atoi(v);
+            if (!parseJobs(v, options.jobs)) {
+                std::fprintf(stderr, "bad --jobs: %s\n", v);
+                return 2;
+            }
         } else if (const char* v = valueOf("--out")) {
             options.outDir = v;
         } else if (const char* v = valueOf("--golden")) {
@@ -318,7 +347,7 @@ int main(int argc, char** argv) {
     int presentFailures = 0;
     if (!presentDir.empty() && check) {
         std::size_t checked = 0;
-        for (const CampaignScenario& s : result.scenarios) {
+        for (const ScenarioResult& s : result.scenarios) {
             if (!s.def.present) continue;
             const std::string detail = diffPresentation(
                 presentArtifactPath(presentDir, s.def.name), capturePresentation(s));
@@ -342,7 +371,7 @@ int main(int argc, char** argv) {
             return 1;
         }
         std::size_t written = 0;
-        for (const CampaignScenario& s : result.scenarios) {
+        for (const ScenarioResult& s : result.scenarios) {
             if (!s.def.present) continue;
             const std::string path = presentArtifactPath(presentDir, s.def.name);
             std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -381,6 +410,20 @@ int main(int argc, char** argv) {
                      result.scenarios.size(), goldenDir.c_str());
     }
 
+    if (tables) {
+        // The merged rows with their timing fields: what a scenario's
+        // presenter needs to report wall-clock results.
+        for (const ScenarioResult& s : result.scenarios) {
+            bench::printHeader(s.def.title);
+            if (s.def.present) {
+                s.def.present(s);
+            } else {
+                const std::string lines = s.jsonLines();
+                std::fwrite(lines.data(), 1, lines.size(), stdout);
+            }
+        }
+        return 0;
+    }
     const std::string lines = result.canonicalLines();
     std::fwrite(lines.data(), 1, lines.size(), stdout);
     return 0;

@@ -1,18 +1,16 @@
 // Shared conveniences for the bench driver translation units.
 //
 // Each driver registers one or more ScenarioDefs (a ~15-line declarative
-// spec + an optional paper-style presenter) and contains no main();
-// bench/bench_main.cpp provides the CLI (--list/--filter/--jobs/--json),
-// and CMake links every driver both as its historical standalone binary and
-// into the combined `tcplp_bench`.
+// spec + an optional paper-style presenter) and contains no main(). CMake
+// compiles every driver once and links them all into `tcplp_campaign`,
+// whose `--filter NAME --tables` prints one scenario's paper table.
 #pragma once
 
 #include <cstdio>
 #include <string>
 #include <vector>
 
-#include "tcplp/scenario/registry.hpp"
-#include "tcplp/scenario/sweep.hpp"
+#include "tcplp/scenario/campaign.hpp"
 #include "tcplp/scenario/workloads.hpp"
 
 namespace bench {
@@ -23,7 +21,8 @@ using scenario::Point;
 using scenario::Registration;
 using scenario::ScenarioDef;
 using scenario::ScenarioSpec;
-using scenario::SweepResult;
+/// The presenter view (historical name, kept for the driver bodies).
+using SweepResult = scenario::ScenarioResult;
 using scenario::TopologyKind;
 using scenario::WorkloadKind;
 

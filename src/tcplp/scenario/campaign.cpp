@@ -4,10 +4,11 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 
 #include "tcplp/common/assert.hpp"
-#include "tcplp/scenario/shard.hpp"
 #include "tcplp/scenario/workloads.hpp"
+#include "tcplp/sim/rng.hpp"
 
 namespace tcplp::scenario {
 
@@ -72,7 +73,120 @@ std::vector<std::pair<std::size_t, MetricRow>> loadManifestRows(
 
 }  // namespace
 
-std::string CampaignScenario::canonicalLines() const {
+std::vector<const RunRecord*> ScenarioResult::select(
+    std::initializer_list<std::pair<const char*, double>> match) const {
+    std::vector<const RunRecord*> out;
+    for (const RunRecord& r : records) {
+        bool ok = true;
+        for (const auto& [axis, value] : match) {
+            if (r.point.value(axis) != value) {
+                ok = false;
+                break;
+            }
+        }
+        if (ok) out.push_back(&r);
+    }
+    return out;
+}
+
+const RunRecord* ScenarioResult::first(
+    std::initializer_list<std::pair<const char*, double>> match) const {
+    const auto matches = select(match);
+    return matches.empty() ? nullptr : matches.front();
+}
+
+double ScenarioResult::mean(
+    const char* key,
+    std::initializer_list<std::pair<const char*, double>> match) const {
+    const auto matches = select(match);
+    if (matches.empty()) return 0.0;
+    double sum = 0.0;
+    for (const RunRecord* r : matches) sum += r->row.number(key);
+    return sum / double(matches.size());
+}
+
+std::string ScenarioResult::jsonLines() const {
+    std::string out;
+    for (const RunRecord& r : records) {
+        out += toJsonLine(r.row);
+        out += '\n';
+    }
+    return out;
+}
+
+std::vector<Point> expandPoints(const ScenarioDef& def,
+                                const std::vector<std::uint64_t>& seeds) {
+    TCPLP_ASSERT(!seeds.empty());
+    std::size_t total = seeds.size();
+    for (const Axis& a : def.axes) {
+        TCPLP_ASSERT(!a.values.empty());
+        total *= a.values.size();
+    }
+    // Stride of axis k = product of all sizes to its right (seeds innermost).
+    std::vector<std::size_t> strides(def.axes.size());
+    std::size_t stride = seeds.size();
+    for (std::size_t k = def.axes.size(); k-- > 0;) {
+        strides[k] = stride;
+        stride *= def.axes[k].values.size();
+    }
+    std::vector<Point> points;
+    points.reserve(total);
+    for (std::size_t i = 0; i < total; ++i) {
+        Point p;
+        p.index = i;
+        for (std::size_t k = 0; k < def.axes.size(); ++k) {
+            const std::size_t vi = (i / strides[k]) % def.axes[k].values.size();
+            p.values.emplace_back(def.axes[k].name, def.axes[k].values[vi]);
+        }
+        p.seed = def.deriveSeeds ? sim::Rng::deriveStream(def.baseSeed, i)
+                                 : seeds[i % seeds.size()];
+        points.push_back(std::move(p));
+    }
+    return points;
+}
+
+MetricRow runPointRow(const ScenarioDef& def, const Point& point) {
+    ScenarioSpec spec = def.base;
+    if (def.bind) def.bind(spec, point);
+    const MetricRow metrics =
+        def.measure ? def.measure(spec, point) : runScenario(spec, point.seed);
+    MetricRow row;
+    row.set("scenario", def.name)
+        .set("index", std::uint64_t(point.index))
+        .set("seed", point.seed);
+    for (const auto& [axis, value] : point.values) row.set(axis, value);
+    for (const auto& [key, value] : metrics.fields()) row.set(key, value);
+    return row;
+}
+
+std::string describePoint(const ScenarioDef& def, const Point& point,
+                          std::size_t totalPoints) {
+    std::string out = "scenario '" + def.name + "' point " +
+                      std::to_string(point.index) + "/" + std::to_string(totalPoints) +
+                      " (";
+    for (const auto& [axis, value] : point.values)
+        out += axis + "=" + formatDouble(value) + ", ";
+    out += "seed=" + std::to_string(point.seed) + ")";
+    return out;
+}
+
+std::vector<std::string> invalidPoints(const ScenarioDef& def,
+                                       const std::vector<std::uint64_t>& seeds) {
+    std::vector<std::string> out;
+    const std::vector<Point> points = expandPoints(def, seeds);
+    for (const Point& point : points) {
+        ScenarioSpec spec = def.base;
+        if (def.bind) def.bind(spec, point);
+        try {
+            validate(spec);
+        } catch (const std::invalid_argument& e) {
+            out.push_back(describePoint(def, point, points.size()) + ": " + e.what());
+        }
+    }
+    return out;
+}
+
+std::string ScenarioResult::canonicalLines() const {
     std::string out;
     for (const RunRecord& r : records) {
         out += toCanonicalJsonLine(r.row);
@@ -83,7 +197,7 @@ std::string CampaignScenario::canonicalLines() const {
 
 std::string CampaignResult::canonicalLines() const {
     std::string out;
-    for (const CampaignScenario& s : scenarios) out += s.canonicalLines();
+    for (const ScenarioResult& s : scenarios) out += s.canonicalLines();
     return out;
 }
 
@@ -180,7 +294,7 @@ CampaignResult runCampaign(const std::vector<ScenarioDef>& defs,
 
     // --- Registry-order scenario assembly --------------------------------
     for (std::size_t d = 0; d < defs.size(); ++d) {
-        CampaignScenario scenario;
+        ScenarioResult scenario;
         scenario.def = defs[d];
         scenario.records.reserve(plan.defPointCounts[d]);
         for (std::size_t k = 0; k < plan.defPointCounts[d]; ++k) {
@@ -248,10 +362,10 @@ constexpr GoldenEntry kGoldenEntries[] = {
     {"lossy_line_cc_shootout", nullptr},
     {"city_scale",
      +[](ScenarioDef& d) {
-         // The full scenario is a 1,024-node grid plus a legacy-engine
-         // comparison sweep; the corpus pins a 120-node, 15-second run of
-         // the current engine only — same code paths (slab pool, batched
-         // delivery, datapath counter rows), CI-sized wall cost.
+         // The full scenario is a 1,024-node grid plus a grid200_dense
+         // point; the corpus pins a 120-node, 15-second city run only —
+         // same code paths (slab pool, batched delivery, datapath counter
+         // rows), CI-sized wall cost.
          d.base = cityScaleSpec(15 * sim::kSecond, 120);
          d.axes = {{"config", {0}}};
      }},
@@ -303,7 +417,7 @@ bool writeGoldenCorpus(const CampaignResult& result, const std::string& dir,
         error = "cannot create golden directory '" + dir + "': " + ec.message();
         return false;
     }
-    for (const CampaignScenario& s : result.scenarios) {
+    for (const ScenarioResult& s : result.scenarios) {
         const std::string path = goldenArtifactPath(dir, s.def.name);
         std::ofstream out(path, std::ios::binary | std::ios::trunc);
         if (!out) {
@@ -329,7 +443,7 @@ std::vector<GoldenDiff> checkGoldenCorpus(const CampaignResult& result,
         }
         return lines;
     };
-    for (const CampaignScenario& s : result.scenarios) {
+    for (const ScenarioResult& s : result.scenarios) {
         const std::string path = goldenArtifactPath(dir, s.def.name);
         std::ifstream in(path, std::ios::binary);
         if (!in) {

@@ -1,12 +1,15 @@
-// Cross-scenario campaign orchestrator + golden-run regression corpus.
+// Campaign orchestrator + golden-run regression corpus.
 //
-// runSweep (PR 3) parallelizes *within* one scenario; a Campaign flattens
-// EVERY selected scenario's axis grid x seeds into one global run-point
-// list and shards that across a single pool of forked workers — a worker
-// executes points from different scenarios back-to-back, so a registry full
-// of small grids keeps all cores busy instead of draining one scenario at a
-// time. The merge is deterministic (registry order across scenarios, grid
-// order within), so campaign output is byte-identical for any --jobs N.
+// A campaign expands every selected scenario's axis grid x seed list into
+// one flat run-point list and executes it, serially in-process (`jobs ==
+// 1`) or sharded across a single pool of forked workers (runShardedTasks),
+// each streaming its finished rows back over a pipe. A worker executes
+// points from different scenarios back-to-back, so a registry full of small
+// grids keeps all cores busy. The merge is deterministic (selection order
+// across scenarios, grid order within) and each point's RNG stream is keyed
+// on its grid position (sim::Rng::deriveStream), never on the worker that
+// ran it, so the output is byte-identical for any --jobs N. A one-scenario
+// campaign is the sweep of that scenario.
 //
 // Canonical output: campaign artifacts render rows through
 // toCanonicalJsonLine — the timing fields (wall_ms, backend, *_per_sec,
@@ -28,7 +31,8 @@
 // final output is byte-identical to an uninterrupted run.
 #pragma once
 
-#include "tcplp/scenario/sweep.hpp"
+#include "tcplp/scenario/registry.hpp"
+#include "tcplp/scenario/shard.hpp"
 
 namespace tcplp::scenario {
 
@@ -43,9 +47,22 @@ struct CampaignOptions {
     bool progress = false;
 };
 
-struct CampaignScenario {
+/// One scenario's merged run, and the view its presenter renders.
+struct ScenarioResult {
     ScenarioDef def;                 // the def the campaign ran (incl. trims)
     std::vector<RunRecord> records;  // grid order
+
+    /// Records whose point matches every (axis, value) pair.
+    std::vector<const RunRecord*> select(
+        std::initializer_list<std::pair<const char*, double>> match) const;
+    const RunRecord* first(
+        std::initializer_list<std::pair<const char*, double>> match) const;
+    /// Mean of a numeric metric over the matching records (e.g. seed-mean
+    /// at one axis point).
+    double mean(const char* key,
+                std::initializer_list<std::pair<const char*, double>> match) const;
+    /// One JSON object per record, timing fields kept, trailing newline each.
+    std::string jsonLines() const;
     /// One canonical JSON object per record, timing fields stripped,
     /// trailing newline each — the artifact/golden rendering.
     std::string canonicalLines() const;
@@ -54,8 +71,8 @@ struct CampaignScenario {
 struct CampaignResult {
     bool ok = false;
     std::string error;
-    std::vector<ShardFailure> failures;   // dead workers, attributed to points
-    std::vector<CampaignScenario> scenarios;  // selection order
+    std::vector<ShardFailure> failures;     // dead workers, attributed to points
+    std::vector<ScenarioResult> scenarios;  // selection order
     std::size_t pointsRun = 0;
     std::size_t pointsResumed = 0;  // skipped via the manifest
 
@@ -63,6 +80,24 @@ struct CampaignResult {
     /// the campaign's stdout rendering.
     std::string canonicalLines() const;
 };
+
+/// Expands the def's grid (axes outermost in declaration order, seeds
+/// innermost).
+std::vector<Point> expandPoints(const ScenarioDef& def,
+                                const std::vector<std::uint64_t>& seeds);
+
+/// Executes one expanded run point: bind -> measure (or runScenario) ->
+/// standard row prefix (scenario/index/seed/axes) + the measured fields.
+MetricRow runPointRow(const ScenarioDef& def, const Point& point);
+
+/// "scenario 'name' point 3/8 (hops=2, seed=1)" — used in diagnostics.
+std::string describePoint(const ScenarioDef& def, const Point& point,
+                          std::size_t totalPoints);
+
+/// Binds every expanded grid point of `def` and validates the result; one
+/// "<describePoint>: <validate error>" line per rejected point.
+std::vector<std::string> invalidPoints(const ScenarioDef& def,
+                                       const std::vector<std::uint64_t>& seeds);
 
 /// Runs every def's full grid through one shared worker pool. Defs are
 /// copied in (the golden subset trims registered defs); selection order is
@@ -76,10 +111,9 @@ std::vector<ScenarioDef> registryDefs(const std::string& filter = {});
 
 /// The curated golden-corpus subset: sweep_smoke, sec72_hops,
 /// office_multiflow, grid200_dense, fig10_table8_day trimmed from 24 to
-/// 1 simulated hour, city_scale trimmed to a 120-node grid on the current
-/// engine, the self-healing scenarios, and the three chaos scenarios
-/// (line_blackout, office_reboot_storm, border_router_restart) — fast
-/// enough for CI, wide
+/// 1 simulated hour, city_scale trimmed to a 120-node grid, the
+/// self-healing scenarios, and the three chaos scenarios (line_blackout,
+/// office_reboot_storm, border_router_restart) — fast enough for CI, wide
 /// enough to cover the bulk line path, the office tree, the dense grid, the
 /// sweep machinery, the anemometer application study, and the
 /// fault-injection layer. Regenerate golden/ with this exact subset

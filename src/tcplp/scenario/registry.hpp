@@ -5,8 +5,7 @@
 // hook mapping one grid point onto the spec, and an optional presenter that
 // renders the paper-style table from the collected rows. The bench drivers
 // are thin translation units that construct one static Registration each;
-// bench_main links any subset of them against the shared CLI
-// (--list/--filter/--jobs/--json).
+// tcplp_campaign links all of them (see campaign.hpp).
 #pragma once
 
 #include <functional>
@@ -44,7 +43,7 @@ struct RunRecord {
     MetricRow row;
 };
 
-struct SweepResult;
+struct ScenarioResult;
 
 struct ScenarioDef {
     std::string name;   // registry key, e.g. "fig4_mss"
@@ -63,7 +62,7 @@ struct ScenarioDef {
     /// Custom runner; defaults to runScenario(spec, point.seed).
     std::function<MetricRow(const ScenarioSpec&, const Point&)> measure;
     /// Renders the human-readable paper table from the merged records.
-    std::function<void(const SweepResult&)> present;
+    std::function<void(const ScenarioResult&)> present;
 };
 
 class Registry {

@@ -1,8 +1,8 @@
 // Generalized fork+pipe worker pool for sharded run-point execution.
 //
 // This is the PR 3 sweep machinery, extracted and generalized: the caller
-// hands over an *indexed task list* (any mix of scenarios — runSweep shards
-// one scenario's grid, Campaign shards the whole registry's flattened grid)
+// hands over an *indexed task list* (any mix of scenarios — runCampaign
+// shards the flattened grids of every scenario it was given)
 // and a pool of forked workers executes the tasks round-robin, streaming
 // each finished MetricRow back over a pipe. The parent reassembles rows by
 // task index, so the merged result is byte-identical to a serial run: a

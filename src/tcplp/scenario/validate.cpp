@@ -128,7 +128,7 @@ const Rule kRules[] = {
     {TOPO(datapathCounters), multiFlow},
     {TOPO(ccMetrics),
      [](const S& s) { return (kind(s, WK::kBulk) || kind(s, WK::kTwoFlow)) && !chaos(s); }},
-    {TOPO(legacyDatapath), radio}, {TOPO(linkPreset), radio}, {TOPO(macAggFrames), radio},
+    {TOPO(linkPreset), radio}, {TOPO(macAggFrames), radio},
     {TOPO(tcpRecvBudgetBytes), radio}, {TOPO(pipeOneWayDelay), pipe},
     {TOPO(pipeBandwidthBps), pipe}, {TOPO(pipeLossForward), pipe},
     {TOPO(pipeLossReverse), pipe},

@@ -362,13 +362,6 @@ std::unique_ptr<harness::Testbed> buildTestbed(const TopologySpec& t, std::uint6
         case TopologyKind::kSleepyLeaf: tb = sleepyLeafTestbed(cfg, leafPolicy); break;
         case TopologyKind::kPipe: TCPLP_ASSERT(false && "kPipe has no testbed");
     }
-    if (tb != nullptr && t.legacyDatapath) {
-        // Pre-PR engine, for A/B speedup rows: seed-era linear-scan delivery
-        // and every frame allocation straight from the heap. RNG-neutral —
-        // see TopologySpec::legacyDatapath.
-        tb->channel().setDeliveryMode(phy::Channel::DeliveryMode::kLinearScan);
-        tb->simulator().framePool().uninstall();
-    }
     return tb;
 }
 

@@ -123,8 +123,20 @@ TEST(Campaign, CrossScenarioShardingIsByteIdenticalToSerial) {
     ASSERT_TRUE(serial.ok) << serial.error;
     ASSERT_TRUE(parallel.ok) << parallel.error;
     ASSERT_EQ(serial.scenarios.size(), 3u);
+    ASSERT_EQ(parallel.scenarios.size(), 3u);
     EXPECT_EQ(serial.pointsRun, 12u + 12u + 4u);
     EXPECT_EQ(serial.canonicalLines(), parallel.canonicalLines());
+    // Every row crosses the worker pipe intact, timing fields included.
+    for (std::size_t s = 0; s < serial.scenarios.size(); ++s) {
+        const std::vector<RunRecord>& a = serial.scenarios[s].records;
+        const std::vector<RunRecord>& b = parallel.scenarios[s].records;
+        ASSERT_EQ(a.size(), b.size());
+        for (std::size_t i = 0; i < a.size(); ++i) {
+            EXPECT_EQ(a[i].point.seed, b[i].point.seed);
+            EXPECT_TRUE(a[i].row == b[i].row) << "scenario " << s << " row " << i;
+        }
+        EXPECT_EQ(serial.scenarios[s].jsonLines(), parallel.scenarios[s].jsonLines());
+    }
     // Merge order: selection order across scenarios, grid order within.
     EXPECT_EQ(serial.scenarios[0].def.name, "camp_a");
     EXPECT_EQ(serial.scenarios[2].def.name, "camp_bulk");
@@ -133,6 +145,8 @@ TEST(Campaign, CrossScenarioShardingIsByteIdenticalToSerial) {
     // Timing fields never reach canonical output.
     EXPECT_EQ(serial.canonicalLines().find("wall_ms"), std::string::npos);
     // The real scenario's digests are live in both runs.
+    for (const RunRecord& r : serial.scenarios[2].records)
+        EXPECT_NE(r.row.number("rng_digest"), 0.0);
     for (const RunRecord& r : parallel.scenarios[2].records)
         EXPECT_NE(r.row.number("rng_digest"), 0.0);
 }
@@ -144,7 +158,7 @@ TEST(Campaign, SeedOverrideAppliesToEveryScenario) {
     opt.seedOverride = {7};
     const CampaignResult result = runCampaign(defs, opt);
     ASSERT_TRUE(result.ok) << result.error;
-    for (const CampaignScenario& s : result.scenarios) {
+    for (const ScenarioResult& s : result.scenarios) {
         ASSERT_EQ(s.records.size(), 6u);  // 3x2 axes, one override seed
         for (const RunRecord& r : s.records) EXPECT_EQ(r.point.seed, 7u);
     }

@@ -18,14 +18,21 @@
 //     completes with verified content.
 #include <gtest/gtest.h>
 
+#include "tcplp/scenario/campaign.hpp"
 #include "tcplp/scenario/chaos.hpp"
-#include "tcplp/scenario/sweep.hpp"
 #include "tcplp/scenario/workloads.hpp"
 
 using namespace tcplp;
 using namespace tcplp::scenario;
 
 namespace {
+
+/// A one-scenario campaign of `def` at `jobs` workers.
+CampaignResult runOne(const ScenarioDef& def, int jobs = 1) {
+    CampaignOptions options;
+    options.jobs = jobs;
+    return runCampaign({def}, options);
+}
 
 /// Small chaos scenario: 2-hop line, a first-hop blackout plus a randomized
 /// relay-reboot pair — every fault type of the sweep axis in a fast run.
@@ -102,11 +109,12 @@ TEST(Chaos, TimelineOutageUnionMergesOverlaps) {
 
 TEST(Chaos, SameSeedAndPlanAreByteIdentical) {
     const ScenarioDef def = chaosDef();
-    const SweepResult a = runSweep(def);
-    const SweepResult b = runSweep(def);
-    ASSERT_TRUE(a.ok) << a.error;
-    ASSERT_TRUE(b.ok) << b.error;
-    EXPECT_EQ(a.jsonLines(), b.jsonLines());
+    const CampaignResult runA = runOne(def);
+    const CampaignResult runB = runOne(def);
+    ASSERT_TRUE(runA.ok) << runA.error;
+    ASSERT_TRUE(runB.ok) << runB.error;
+    const ScenarioResult& a = runA.scenarios[0];
+    EXPECT_EQ(a.jsonLines(), runB.scenarios[0].jsonLines());
     for (const RunRecord& r : a.records) {
         EXPECT_NE(r.row.number("rng_digest"), 0.0);
         EXPECT_EQ(r.row.number("content_ok"), 1.0);
@@ -121,19 +129,15 @@ TEST(Chaos, SameSeedAndPlanAreByteIdentical) {
 
 TEST(Chaos, ShardedSweepMergesToSerialBytes) {
     const ScenarioDef def = chaosDef();
-    SweepOptions serial;
-    serial.jobs = 1;
-    SweepOptions sharded;
-    sharded.jobs = 8;
-    const SweepResult a = runSweep(def, serial);
-    const SweepResult b = runSweep(def, sharded);
+    const CampaignResult a = runOne(def, 1);
+    const CampaignResult b = runOne(def, 8);
     ASSERT_TRUE(a.ok) << a.error;
     ASSERT_TRUE(b.ok) << b.error;
-    EXPECT_EQ(a.jsonLines(), b.jsonLines());
+    EXPECT_EQ(a.scenarios[0].jsonLines(), b.scenarios[0].jsonLines());
 }
 
 TEST(Chaos, WatchdogFailsWedgedFlowInProcess) {
-    const SweepResult r = runSweep(wedgedDef());
+    const CampaignResult r = runOne(wedgedDef());
     ASSERT_FALSE(r.ok);
     // The serial path wraps the throw into an attributed in-process error.
     EXPECT_NE(r.error.find("chaos watchdog"), std::string::npos) << r.error;
@@ -141,9 +145,7 @@ TEST(Chaos, WatchdogFailsWedgedFlowInProcess) {
 }
 
 TEST(Chaos, WatchdogFailsWedgedFlowAcrossForkedWorkers) {
-    SweepOptions sharded;
-    sharded.jobs = 2;
-    const SweepResult r = runSweep(wedgedDef(), sharded);
+    const CampaignResult r = runOne(wedgedDef(), 2);
     ASSERT_FALSE(r.ok);
     ASSERT_FALSE(r.failures.empty());
     const ShardFailure& f = r.failures.front();

@@ -11,7 +11,7 @@
 #include "tcplp/common/slab_pool.hpp"
 #include "tcplp/phy/channel.hpp"
 #include "tcplp/phy/radio.hpp"
-#include "tcplp/scenario/sweep.hpp"
+#include "tcplp/scenario/campaign.hpp"
 #include "tcplp/scenario/workloads.hpp"
 #include "tcplp/sim/simulator.hpp"
 
@@ -49,11 +49,13 @@ TEST(CityScale, SerialAndShardedSweepsMatch) {
     d.name = "city_scale_test";
     d.base = reducedCitySpec();
     d.seeds = {1, 2};
-    const SweepResult serial = runSweep(d, SweepOptions{1, {}});
-    const SweepResult sharded = runSweep(d, SweepOptions{4, {}});
+    CampaignOptions sharding;
+    sharding.jobs = 4;
+    const CampaignResult serial = runCampaign({d});
+    const CampaignResult sharded = runCampaign({d}, sharding);
     ASSERT_TRUE(serial.ok);
     ASSERT_TRUE(sharded.ok);
-    EXPECT_EQ(serial.jsonLines(), sharded.jsonLines());
+    EXPECT_EQ(serial.scenarios[0].jsonLines(), sharded.scenarios[0].jsonLines());
 }
 
 TEST(CityScale, DatapathCounterRowKeys) {
@@ -75,23 +77,6 @@ TEST(CityScale, DatapathCounterRowKeys) {
     // Static grid: each transmitter's candidate cache builds at most once.
     EXPECT_GT(row.number("neighbor_rebuilds"), 0.0);
     EXPECT_LE(row.number("neighbor_rebuilds"), 96.0);
-}
-
-TEST(CityScale, LegacyDatapathReplaysIdenticalByteStream) {
-    // The pre-PR engine switches (linear-scan delivery, no pooling) are
-    // pure perf knobs: the behavioral row — goodput, frames, RNG digest —
-    // must be unchanged; only the datapath counters may differ.
-    ScenarioSpec current = cityScaleSpec(5 * sim::kSecond, 64);
-    ScenarioSpec legacy = current;
-    legacy.topology.legacyDatapath = true;
-    const MetricRow a = runScenario(current, 1);
-    const MetricRow b = runScenario(legacy, 1);
-    EXPECT_EQ(rngDigestOf(a), rngDigestOf(b));
-    EXPECT_EQ(a.number("frames_tx"), b.number("frames_tx"));
-    EXPECT_EQ(a.number("aggregate_kbps"), b.number("aggregate_kbps"));
-    // And the counters prove the switches took effect.
-    EXPECT_GT(a.number("pool_recycled"), 0.0);
-    EXPECT_EQ(b.number("pool_recycled"), 0.0);
 }
 
 TEST(ChannelEpoch, RevalidationSkipsRebuildWhenWindowUnchanged) {

@@ -25,7 +25,7 @@
 
 #include "tcplp/harness/pipe.hpp"
 #include "tcplp/scenario/chaos.hpp"
-#include "tcplp/scenario/sweep.hpp"
+#include "tcplp/scenario/campaign.hpp"
 #include "tcplp/scenario/workloads.hpp"
 #include "tcplp/sim/fault.hpp"
 #include "tcplp/tcp/tcp.hpp"
@@ -157,15 +157,16 @@ TEST(Failover, RebootInsideBlackoutMergesToSerialBytes) {
         s.fault.enabled = faultFromAxis(p.value("fault"));
     };
 
-    SweepOptions serial;
+    CampaignOptions serial;
     serial.jobs = 1;
-    SweepOptions sharded;
+    CampaignOptions sharded;
     sharded.jobs = 4;
-    const SweepResult a = runSweep(def, serial);
-    const SweepResult b = runSweep(def, sharded);
-    ASSERT_TRUE(a.ok) << a.error;
-    ASSERT_TRUE(b.ok) << b.error;
-    EXPECT_EQ(a.jsonLines(), b.jsonLines());
+    const CampaignResult serialRun = runCampaign({def}, serial);
+    const CampaignResult shardedRun = runCampaign({def}, sharded);
+    ASSERT_TRUE(serialRun.ok) << serialRun.error;
+    ASSERT_TRUE(shardedRun.ok) << shardedRun.error;
+    const ScenarioResult& a = serialRun.scenarios[0];
+    EXPECT_EQ(a.jsonLines(), shardedRun.scenarios[0].jsonLines());
     // The union counts the overlap once: 20s window, reboot inside it.
     EXPECT_DOUBLE_EQ(a.mean("outage_s", {{"fault", 1.0}}), 20.0);
     for (const RunRecord& r : a.records)

@@ -17,8 +17,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "tcplp/scenario/registry.hpp"
-#include "tcplp/scenario/sweep.hpp"
+#include "tcplp/scenario/campaign.hpp"
 #include "tcplp/scenario/workloads.hpp"
 
 using namespace tcplp;

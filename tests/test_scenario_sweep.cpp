@@ -1,10 +1,11 @@
-// Scenario engine + sweep runner coverage.
+// Scenario engine + one-scenario campaign coverage.
 //
-// The two load-bearing guarantees of the PR 3 refactor are pinned here:
+// The two load-bearing guarantees of the scenario engine are pinned here:
 //
 //  1. Sweep determinism: the same spec + seed list produces byte-identical
-//     metric JSON at --jobs 1 and --jobs 8 (rows cross the worker pipe and
-//     must round-trip exactly, and the merge must be in grid order).
+//     metric JSON serially and at 8 and odd job counts (rows cross the worker pipe
+//     and must round-trip exactly, and the merge must be in grid order;
+//     test_campaign.cpp pins the multi-scenario merge).
 //
 //  2. Path equivalence: the declarative engine replays the exact
 //     simulations the hand-rolled pre-refactor bench drivers ran. The
@@ -21,8 +22,7 @@
 #include "tcplp/harness/anemometer.hpp"
 #include "tcplp/harness/testbed.hpp"
 #include "tcplp/scenario/metrics.hpp"
-#include "tcplp/scenario/registry.hpp"
-#include "tcplp/scenario/sweep.hpp"
+#include "tcplp/scenario/campaign.hpp"
 #include "tcplp/scenario/workloads.hpp"
 #include "tcplp/sim/rng.hpp"
 
@@ -183,36 +183,46 @@ ScenarioDef smallBulkSweep() {
     return def;
 }
 
+/// A one-scenario campaign at `jobs` workers (seed override optional).
+CampaignResult runOne(const ScenarioDef& def, int jobs,
+                      std::vector<std::uint64_t> seeds = {}) {
+    CampaignOptions options;
+    options.jobs = jobs;
+    options.seedOverride = std::move(seeds);
+    return runCampaign({def}, options);
+}
+
 }  // namespace
 
 TEST(ScenarioSweep, ParallelMergeIsByteIdenticalToSerial) {
     const ScenarioDef def = smallBulkSweep();
-    const SweepResult serial = runSweep(def, SweepOptions{1, {}});
-    const SweepResult parallel = runSweep(def, SweepOptions{8, {}});
-    ASSERT_TRUE(serial.ok) << serial.error;
-    ASSERT_TRUE(parallel.ok) << parallel.error;
-    ASSERT_EQ(serial.records.size(), 8u);
-    ASSERT_EQ(parallel.records.size(), 8u);
-    for (std::size_t i = 0; i < serial.records.size(); ++i) {
-        EXPECT_EQ(serial.records[i].point.seed, parallel.records[i].point.seed);
-        EXPECT_TRUE(serial.records[i].row == parallel.records[i].row) << "row " << i;
+    const CampaignResult serialRun = runOne(def, 1);
+    const CampaignResult parallelRun = runOne(def, 8);
+    ASSERT_TRUE(serialRun.ok) << serialRun.error;
+    ASSERT_TRUE(parallelRun.ok) << parallelRun.error;
+    const std::vector<RunRecord>& serial = serialRun.scenarios[0].records;
+    const std::vector<RunRecord>& parallel = parallelRun.scenarios[0].records;
+    ASSERT_EQ(serial.size(), 8u);
+    ASSERT_EQ(parallel.size(), 8u);
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+        EXPECT_EQ(serial[i].point.seed, parallel[i].point.seed);
+        EXPECT_TRUE(serial[i].row == parallel[i].row) << "row " << i;
     }
-    EXPECT_EQ(serial.jsonLines(), parallel.jsonLines());
+    EXPECT_EQ(serialRun.scenarios[0].jsonLines(), parallelRun.scenarios[0].jsonLines());
     // The digests are live (a real simulation ran in every worker).
-    for (const auto& record : serial.records)
+    for (const RunRecord& record : serial)
         EXPECT_NE(record.row.number("rng_digest"), 0.0);
 }
 
 TEST(ScenarioSweep, OddJobCountsAndSeedOverridesStayIdentical) {
     const ScenarioDef def = smallBulkSweep();
-    SweepOptions serialOpt{1, {7, 9}};
-    SweepOptions parallelOpt{3, {7, 9}};
-    const SweepResult serial = runSweep(def, serialOpt);
-    const SweepResult parallel = runSweep(def, parallelOpt);
+    const CampaignResult serial = runOne(def, 1, {7, 9});
+    const CampaignResult parallel = runOne(def, 3, {7, 9});
     ASSERT_TRUE(serial.ok && parallel.ok);
-    ASSERT_EQ(serial.records.size(), 4u);  // 2 hops x 2 override seeds
-    EXPECT_EQ(serial.records[0].point.seed, 7u);
-    EXPECT_EQ(serial.jsonLines(), parallel.jsonLines());
+    const std::vector<RunRecord>& records = serial.scenarios[0].records;
+    ASSERT_EQ(records.size(), 4u);  // 2 hops x 2 override seeds
+    EXPECT_EQ(records[0].point.seed, 7u);
+    EXPECT_EQ(serial.scenarios[0].jsonLines(), parallel.scenarios[0].jsonLines());
 }
 
 TEST(ScenarioSweep, NonFiniteMetricsSurviveTheWorkerPipe) {
@@ -227,9 +237,11 @@ TEST(ScenarioSweep, NonFiniteMetricsSurviveTheWorkerPipe) {
             .set("i", p.value("i"));
         return row;
     };
-    const SweepResult serial = runSweep(def, SweepOptions{1, {}});
-    const SweepResult parallel = runSweep(def, SweepOptions{2, {}});
-    ASSERT_TRUE(serial.ok && parallel.ok);
+    const CampaignResult serialRun = runOne(def, 1);
+    const CampaignResult parallelRun = runOne(def, 2);
+    ASSERT_TRUE(serialRun.ok && parallelRun.ok);
+    const ScenarioResult& serial = serialRun.scenarios[0];
+    const ScenarioResult& parallel = parallelRun.scenarios[0];
     for (std::size_t i = 0; i < serial.records.size(); ++i) {
         // In-memory rows must match exactly (inf stays inf, not NaN), so
         // presenter arithmetic cannot diverge between serial and sharded.
@@ -249,7 +261,7 @@ TEST(ScenarioSweep, WorkerFailureSurfacesAsError) {
         row.set("ok", true);
         return row;
     };
-    const SweepResult parallel = runSweep(def, SweepOptions{4, {}});
+    const CampaignResult parallel = runOne(def, 4);
     EXPECT_FALSE(parallel.ok);
     EXPECT_FALSE(parallel.error.empty());
     // The diagnostic names the failing scenario + grid point and carries
@@ -281,7 +293,7 @@ TEST(ScenarioSweep, KilledWorkerIsAttributedToItsRunPoint) {
         row.set("ok", true);
         return row;
     };
-    const SweepResult parallel = runSweep(def, SweepOptions{3, {}});
+    const CampaignResult parallel = runOne(def, 3);
     ASSERT_FALSE(parallel.ok);
     EXPECT_NE(parallel.error.find("signal 9"), std::string::npos) << parallel.error;
     EXPECT_NE(parallel.error.find("test_killed"), std::string::npos) << parallel.error;
