@@ -35,7 +35,6 @@ ScenarioDef fairnessDef() {
     d.base.topology.hops = 3;
     d.base.topology.retryDelayMax = sim::fromMillis(40);
     d.base.topology.queueCapacityPackets = 7;  // relay buffer limit
-    d.base.topology.ccMetrics = true;
     d.base.workload.windowSegments = 4;
     d.base.workload.totalBytes = 10'000'000;  // saturating for the window
     d.base.workload.timeLimit = 5 * sim::kMinute;
@@ -73,7 +72,6 @@ ScenarioDef lossyDef() {
     // but a residual stream of i.i.d. radio drops still surfaces to TCP as
     // (non-congestion) segment losses — the regime CERL is built for.
     d.base.topology.maxFrameRetries = 1;
-    d.base.topology.ccMetrics = true;
     d.base.workload.totalBytes = 100000;
     d.base.workload.windowSegments = 12;
     d.base.workload.mssFrames = 3;

@@ -76,7 +76,6 @@ ScenarioDef def() {
         const int config = int(p.value("config"));
         if (config == 0) return;  // the city spec itself
         s = scenario::grid200DenseSpec(30 * sim::kSecond);
-        s.topology.datapathCounters = true;
     };
     d.measure = [](const ScenarioSpec& spec, const Point& p) {
         // Best-of-5 wall: a 30 s sim here lands in tens of milliseconds of

@@ -20,7 +20,7 @@ ScenarioDef def() {
     d.bind = [](ScenarioSpec& s, const Point& p) {
         s.workload.mssFrames = std::size_t(p.value("frames"));
         s.workload.uplink = p.value("uplink") != 0;
-        const std::uint16_t mss = scenario::mssForFrames(s.workload.mssFrames);
+        const std::uint16_t mss = harness::mssForFrames(s.workload.mssFrames);
         s.workload.windowSegments = std::max<std::size_t>(4, 1848 / mss);
     };
     d.present = [](const SweepResult& r) {
@@ -28,7 +28,7 @@ ScenarioDef def() {
                     "Downlink kb/s");
         for (double frames : {2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0}) {
             std::printf("%-14.0f %10u %14.1f %14.1f\n", frames,
-                        scenario::mssForFrames(std::size_t(frames)),
+                        harness::mssForFrames(std::size_t(frames)),
                         r.mean("goodput_kbps", {{"frames", frames}, {"uplink", 1}}),
                         r.mean("goodput_kbps", {{"frames", frames}, {"uplink", 0}}));
         }

@@ -25,7 +25,7 @@ ScenarioDef def() {
         s.workload.windowSegments = std::size_t(p.value("segments"));
     };
     d.present = [](const SweepResult& r) {
-        const std::uint16_t mss = scenario::mssForFrames(5);
+        const std::uint16_t mss = harness::mssForFrames(5);
         std::printf("(MSS = %u bytes = 5 frames)\n", mss);
         std::printf("%-10s %12s %14s %12s\n", "Segments", "Window(B)", "Goodput kb/s",
                     "RTT ms");

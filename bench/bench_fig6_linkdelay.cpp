@@ -29,7 +29,7 @@ ScenarioDef def() {
         s.workload.totalBytes = s.topology.hops == 1 ? 120000 : 50000;
     };
     d.present = [](const SweepResult& r) {
-        const std::uint16_t mss = scenario::mssForFrames(5);
+        const std::uint16_t mss = harness::mssForFrames(5);
         for (double hops : {1.0, 3.0}) {
             std::printf("\n-- %.0f hop(s) --\n", hops);
             std::printf("%-8s %12s %10s %10s %12s %12s\n", "d(ms)", "Goodput", "SegLoss",

@@ -24,7 +24,7 @@ ScenarioDef def() {
         s.workload.windowSegments = s.topology.hops >= 4 ? 6 : 4;
     };
     d.present = [](const SweepResult& r) {
-        const std::uint16_t mss = scenario::mssForFrames(5);
+        const std::uint16_t mss = harness::mssForFrames(5);
         const double bound1 = model::singleHopUpperBound(double(mss), 5.0) * 8.0 / 1000.0;
         std::printf("Single-hop upper bound (Sec. 6.4 analysis): %.1f kb/s (paper: 82)\n\n",
                     bound1);

@@ -7,21 +7,6 @@ namespace tcplp::harness {
 namespace {
 constexpr phy::NodeId kSensorIds[] = {12, 13, 14, 15};
 
-std::uint16_t mssForFramesToCloud(std::size_t frames) {
-    for (std::uint16_t mss = 1200; mss >= 40; --mss) {
-        tcp::Segment seg;
-        seg.timestamps = tcp::Timestamps{1, 2};
-        seg.payload = patternBytes(0, mss);
-        ip6::Packet p;
-        p.src = ip6::Address::meshLocal(12);
-        p.dst = ip6::Address::cloud(1000);
-        p.nextHeader = ip6::kProtoTcp;
-        p.payload = seg.encode();
-        if (lowpan::frameCountFor(p, 12, 1, phy::kMaxMacPayloadBytes) <= frames) return mss;
-    }
-    return 40;
-}
-
 /// Per-sensor transport plumbing, kept alive for the whole run.
 struct SensorRig {
     mesh::Node* node = nullptr;
@@ -89,7 +74,7 @@ AnemometerResult runAnemometer(const AnemometerOptions& options) {
             });
     }
 
-    const std::uint16_t mss = mssForFramesToCloud(options.mssFrames);
+    const std::uint16_t mss = mssForFrames(options.mssFrames);
     app::SensorConfig sensorCfg;
     sensorCfg.batching = options.batching;
     sensorCfg.batchThreshold = 64;

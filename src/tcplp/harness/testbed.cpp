@@ -5,6 +5,8 @@
 #include <queue>
 
 #include "tcplp/common/assert.hpp"
+#include "tcplp/lowpan/frag.hpp"
+#include "tcplp/tcp/segment.hpp"
 
 namespace tcplp::harness {
 
@@ -333,6 +335,21 @@ double diurnalLossAt(sim::Time now, double nightLoss, double peakLoss) {
     const double burstRate = 0.012 + 0.05 * activity;
     if (double(h % 10000) / 10000.0 < burstRate) return 0.92;
     return base;
+}
+
+std::uint16_t mssForFrames(std::size_t frames) {
+    for (std::uint16_t mss = 1400; mss >= 16; --mss) {
+        tcp::Segment seg;
+        seg.timestamps = tcp::Timestamps{1, 2};
+        seg.payload = patternBytes(0, mss);
+        ip6::Packet p;
+        p.src = ip6::Address::meshLocal(10);
+        p.dst = ip6::Address::cloud(1000);
+        p.nextHeader = ip6::kProtoTcp;
+        p.payload = seg.encode();
+        if (lowpan::frameCountFor(p, 10, 1, phy::kMaxMacPayloadBytes) <= frames) return mss;
+    }
+    return 16;
 }
 
 }  // namespace tcplp::harness

@@ -124,4 +124,12 @@ private:
 /// the office and WiFi traffic rises.
 double diurnalLossAt(sim::Time now, double nightLoss, double peakLoss);
 
+/// MSS (payload bytes) that makes a mote->cloud TCP segment, timestamps on,
+/// occupy at most `frames` 802.15.4 frames (§6.1's sweep axis): the largest
+/// MSS in [16, 1400] that fits, found by encoding trial segments from the
+/// top down. Each trial encode draws buffers from the installed slab pool
+/// (the running simulator's), so a run resolves its MSS once, and the
+/// bounds stay fixed: multi-flow rows pin the pool counters the trials move.
+std::uint16_t mssForFrames(std::size_t frames);
+
 }  // namespace tcplp::harness

@@ -356,7 +356,7 @@ constexpr GoldenEntry kGoldenEntries[] = {
     {"partition_heal", nullptr},
     // Congestion-control shootout scenarios: pin the pluggable-CC strategy
     // rows (per-cc goodput, loss_cuts / cuts_skipped, cwnd dynamics) so a
-    // behavior change in any strategy — or in the ccMetrics schema — is a
+    // behavior change in any strategy — or in the cc row keys — is a
     // deliberate golden update.
     {"fairness_cc_shootout", nullptr},
     {"lossy_line_cc_shootout", nullptr},

@@ -2,10 +2,10 @@
 //
 // Every run point of every scenario produces one MetricRow — an ordered list
 // of (key, value) pairs — and every consumer reads the same rendering: the
-// per-figure presenters, the BENCH_*.json perf trackers, and the CI sweep
-// smoke all see exactly one JSON object per line, keys in insertion order.
-// The 23 bench binaries used to hand-roll this formatting ad hoc; this is
-// the one shared implementation.
+// per-figure presenters, the BENCH_*.json perf trackers, the golden corpus
+// and the CI campaign smoke all see exactly one JSON object per line, keys
+// in insertion order. A row's keys depend only on the runner that produced
+// it (workloads.cpp's per-kind flatteners), never on an opt-in flag.
 //
 // Determinism contract: doubles are rendered shortest-round-trip
 // (std::to_chars), so a row that crosses the sweep worker pipe as text

@@ -1,17 +1,18 @@
 // Declarative scenario descriptions.
 //
-// A ScenarioSpec names everything the 23 bench drivers used to hand-roll:
-// the topology (line / pair / office / grid / star / pipe, with link loss,
-// spacing and queue knobs), the workload (bulk transfer, duty-cycled sleepy
-// transfer, two-flow fairness, embedded-stack baseline, in-memory pipe,
-// anemometer fleet, multi-flow mix), and the TCP-level knobs the paper
-// sweeps (segment size, window, feature ablations). The engine in
-// workloads.cpp turns a spec + seed into a deterministic run; the sweep
-// runner (sweep.hpp) expands axis grids over specs and shards the points
-// across worker processes.
+// A ScenarioSpec names everything a scenario run needs: the topology
+// (line / pair / office / grid / star / pipe, with link loss, spacing and
+// queue knobs), the workload (bulk transfer, duty-cycled sleepy transfer,
+// two-flow fairness, embedded-stack baseline, in-memory pipe, anemometer
+// fleet, multi-flow mix), the TCP-level knobs the paper sweeps (segment
+// size, window, feature ablations) and the fault layer. The engine in
+// workloads.cpp turns a spec + seed into a deterministic run; the campaign
+// runner (campaign.hpp) expands each registered ScenarioDef's axis grid
+// (registry.hpp) over its base spec and shards the points across worker
+// processes.
 //
-// Adding a paper figure used to mean a ~150-line driver; with a spec it is
-// a ~15-line registration (see bench/bench_*.cpp).
+// A paper figure is a ScenarioDef registration of ~15 lines around a spec
+// (see bench/bench_*.cpp).
 #pragma once
 
 #include <cstdint>
@@ -73,24 +74,12 @@ struct TopologySpec {
     bool ecnMarking = false;
     /// Self-healing mesh routing: link-liveness tracking on every router
     /// plus ranked loop-free alternate next hops (tree topologies). Off by
-    /// default so legacy scenarios keep their static-route byte streams;
-    /// rows of self-healing scenarios additionally carry the routing-repair
-    /// metric keys (reroutes / failbacks / blackhole and route drops).
+    /// default so legacy scenarios keep their static-route byte streams.
     bool selfHealing = false;
     /// Dead-neighbor probe cadence override (selfHealing only; nullopt =
     /// mesh::NeighborConfig's default, 0 = probing off — then only organic
     /// traffic revives a dead neighbor).
     std::optional<sim::Time> probeInterval;
-    /// Emit datapath perf counters (slab-pool recycle/fresh split, SmallFn
-    /// and prepend heap-fallbacks, neighbor-cache rebuild/revalidation) as
-    /// extra row keys. Off by default so legacy rows — and their golden
-    /// artifacts — are unchanged (same pattern as selfHealing).
-    bool datapathCounters = false;
-    /// Surface congestion-control dynamics as extra row keys (cwnd summary
-    /// stats from the tracer hook plus the strategy's loss_cuts /
-    /// cuts_skipped counters). Off by default so legacy rows — and their
-    /// golden artifacts — are unchanged (same pattern as selfHealing).
-    bool ccMetrics = false;
     /// Radio-link class (air rate, CSMA slot timings, frame bus, MAC
     /// payload budget). k802154 keeps every legacy byte stream.
     LinkPreset linkPreset = LinkPreset::k802154;

@@ -125,9 +125,6 @@ const Rule kRules[] = {
     {TOPO(perHopReassembly), radio}, {TOPO(redQueue), radio}, {TOPO(ecnMarking), radio},
     {TOPO(selfHealing), radio},
     {TOPO(probeInterval), [](const S& s) { return radio(s) && s.topology.selfHealing; }},
-    {TOPO(datapathCounters), multiFlow},
-    {TOPO(ccMetrics),
-     [](const S& s) { return (kind(s, WK::kBulk) || kind(s, WK::kTwoFlow)) && !chaos(s); }},
     {TOPO(linkPreset), radio}, {TOPO(macAggFrames), radio},
     {TOPO(tcpRecvBudgetBytes), radio}, {TOPO(pipeOneWayDelay), pipe},
     {TOPO(pipeBandwidthBps), pipe}, {TOPO(pipeLossForward), pipe},

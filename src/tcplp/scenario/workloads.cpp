@@ -10,7 +10,6 @@
 #include "tcplp/app/reconnect.hpp"
 #include "tcplp/common/assert.hpp"
 #include "tcplp/harness/pipe.hpp"
-#include "tcplp/lowpan/frag.hpp"
 #include "tcplp/scenario/chaos.hpp"
 
 namespace tcplp::scenario {
@@ -31,23 +30,8 @@ tcp::TcpConfig serverTcpConfig(std::uint16_t mss) {
     return c;
 }
 
-std::uint16_t mssForFrames(std::size_t frames) {
-    for (std::uint16_t mss = 1400; mss >= 16; --mss) {
-        tcp::Segment seg;
-        seg.timestamps = tcp::Timestamps{1, 2};
-        seg.payload = patternBytes(0, mss);
-        ip6::Packet p;
-        p.src = ip6::Address::meshLocal(10);
-        p.dst = ip6::Address::cloud(1000);
-        p.nextHeader = ip6::kProtoTcp;
-        p.payload = seg.encode();
-        if (lowpan::frameCountFor(p, 10, 1, phy::kMaxMacPayloadBytes) <= frames) return mss;
-    }
-    return 16;
-}
-
 std::uint16_t resolveMss(const WorkloadSpec& w) {
-    if (w.mssFrames > 0) return mssForFrames(w.mssFrames);
+    if (w.mssFrames > 0) return harness::mssForFrames(w.mssFrames);
     return w.mssBytes > 0 ? w.mssBytes : 462;
 }
 
@@ -182,8 +166,9 @@ std::vector<FlowSpec> flowsOf(const ScenarioSpec& s) {
 }
 
 /// Streams the cwnd tracer's samples into the summary stats CcDynamics
-/// wants. Installed only when TopologySpec::ccMetrics, chained after any
-/// user-supplied tracer so the Fig. 7 escape hatch keeps working.
+/// wants. Installed on every plain sender, chained after any user-supplied
+/// tracer so the Fig. 7 escape hatch keeps working. It draws no RNG and
+/// schedules no events, so it cannot move a run's byte stream.
 struct CwndProbe {
     std::uint32_t min = 0, max = 0;
     double sum = 0.0;
@@ -333,7 +318,6 @@ ScenarioSpec cityScaleSpec(sim::Time duration, std::size_t nodes) {
     s.topology.nodes = nodes;
     s.topology.retryDelayMax = sim::fromMillis(40);  // §7.1 fix
     s.topology.queueCapacityPackets = 24;
-    s.topology.datapathCounters = true;
     s.workload.kind = WorkloadKind::kMultiFlow;
     s.workload.multiFlowDuration = duration;
     // 24 saturating flows, endpoints spread evenly across the grid interior
@@ -470,11 +454,7 @@ FlowRunResult runFlows(const ScenarioSpec& spec, std::uint64_t seed) {
             continue;
         }
         rig.sender = &senderStack.createSocket(senderCfg);
-        if (t.ccMetrics) {
-            rig.probe.attach(*rig.sender, w.cwndTracer);
-        } else if (w.cwndTracer) {
-            rig.sender->setCwndTracer(w.cwndTracer);
-        }
+        rig.probe.attach(*rig.sender, w.cwndTracer);
         rig.bulk = std::make_unique<app::BulkSender>(*rig.sender, flow.totalBytes);
         rig.sender->connect(dst, port);
     }
@@ -495,7 +475,7 @@ FlowRunResult runFlows(const ScenarioSpec& spec, std::uint64_t seed) {
             out.reconnectAttempts = rig.reconnecting->reconnectAttempts();
         } else {
             out.stats = rig.sender->stats();
-            if (t.ccMetrics) out.cc = rig.probe.finish(*rig.sender);
+            out.cc = rig.probe.finish(*rig.sender);
         }
     }
     if (w.idleTail > 0) {
@@ -654,19 +634,15 @@ MetricRow bulkRow(const ScenarioSpec& spec, const FlowRunResult& r) {
         .set("timeouts", f.stats.timeouts)
         .set("fast_rexmits", f.stats.fastRetransmissions)
         .set("bytes", f.bytes)
-        .set("content_ok", f.contentOk);
-    // Routing-repair and CC-dynamics keys exist only when the spec opts in,
-    // so legacy scenario rows (and their golden artifacts) are unchanged.
-    if (spec.topology.selfHealing) {
-        row.set("no_route_drops", r.mesh.noRouteDrops)
-            .set("forward_drops", r.mesh.forwardDrops)
-            .set("reroutes", r.mesh.reroutes)
-            .set("failbacks", r.mesh.failbacks)
-            .set("blackhole_drops", r.mesh.blackholeDrops);
-    }
-    if (spec.topology.ccMetrics) {
+        .set("content_ok", f.contentOk)
+        .set("no_route_drops", r.mesh.noRouteDrops)
+        .set("forward_drops", r.mesh.forwardDrops)
+        .set("reroutes", r.mesh.reroutes)
+        .set("failbacks", r.mesh.failbacks)
+        .set("blackhole_drops", r.mesh.blackholeDrops);
+    if (f.cc) {
         row.set("cc_name", tcp::ccName(spec.workload.cc));
-        setCcKeys(row, f.cc, "");
+        setCcKeys(row, *f.cc, "");
     }
     return row.set("rng_digest", r.rngDigest);
 }
@@ -685,16 +661,14 @@ MetricRow twoFlowRow(const ScenarioSpec& spec, const FlowRunResult& r) {
         .set("rtt_a_ms", a.stats.rttSamples.median())
         .set("rtt_b_ms", b.stats.rttSamples.median())
         .set("rexmit_a_pct", rexmitShare(a.stats, 100.0))
-        .set("rexmit_b_pct", rexmitShare(b.stats, 100.0));
-    if (spec.topology.ccMetrics) {
-        row.set("cc_name", tcp::ccName(spec.workload.cc));
-        setCcKeys(row, a.cc, "_a");
-        setCcKeys(row, b.cc, "_b");
-    }
+        .set("rexmit_b_pct", rexmitShare(b.stats, 100.0))
+        .set("cc_name", tcp::ccName(spec.workload.cc));
+    setCcKeys(row, *a.cc, "_a");
+    setCcKeys(row, *b.cc, "_b");
     return row.set("rng_digest", r.rngDigest);
 }
 
-MetricRow multiFlowRow(const ScenarioSpec& spec, const MultiFlowResult& r) {
+MetricRow multiFlowRow(const MultiFlowResult& r) {
     MetricRow row;
     for (std::size_t i = 0; i < r.flows.size(); ++i) {
         const std::string p = "flow" + std::to_string(i);
@@ -707,20 +681,16 @@ MetricRow multiFlowRow(const ScenarioSpec& spec, const MultiFlowResult& r) {
         .set("jain_fairness", r.jainFairness)
         .set("frames_tx", r.framesTransmitted)
         .set("listener_visits", r.listenerVisits);
-    // Datapath keys exist only when the spec opts in, so legacy scenario
-    // rows (and their golden artifacts) are unchanged.
-    if (spec.topology.datapathCounters) {
-        const DatapathCounters& d = r.datapath;
-        row.set("pool_recycled", d.poolRecycled)
-            .set("pool_fresh", d.poolFresh)
-            .set("pool_bytes_recycled", d.poolBytesRecycled)
-            .set("pool_bytes_fresh", d.poolBytesFresh)
-            .set("smallfn_heap_fallbacks", d.smallFnHeapFallbacks)
-            .set("prepend_fallbacks", d.prependFallbacks)
-            .set("neighbor_rebuilds", d.neighborRebuilds)
-            .set("neighbor_revalidations", d.neighborRevalidations);
-    }
-    return row.set("rng_digest", r.rngDigest);
+    const DatapathCounters& d = r.datapath;
+    return row.set("pool_recycled", d.poolRecycled)
+        .set("pool_fresh", d.poolFresh)
+        .set("pool_bytes_recycled", d.poolBytesRecycled)
+        .set("pool_bytes_fresh", d.poolBytesFresh)
+        .set("smallfn_heap_fallbacks", d.smallFnHeapFallbacks)
+        .set("prepend_fallbacks", d.prependFallbacks)
+        .set("neighbor_rebuilds", d.neighborRebuilds)
+        .set("neighbor_revalidations", d.neighborRevalidations)
+        .set("rng_digest", r.rngDigest);
 }
 
 MetricRow sleepyRow(const FlowRunResult& r) {
@@ -738,12 +708,12 @@ MetricRow sleepyRow(const FlowRunResult& r) {
         .set("rng_digest", r.rngDigest);
 }
 
-MetricRow chaosRow(const ScenarioSpec& spec, const FlowRunResult& r) {
+MetricRow chaosRow(const FlowRunResult& r) {
     const FlowRunResult::Flow& f = r.flows.front();
     const double faultKbps =
         r.outageSeconds > 0.0 ? double(r.faultBytes) * 8.0 / 1000.0 / r.outageSeconds : 0.0;
     MetricRow row;
-    row.set("goodput_kbps", f.goodputKbps)
+    return row.set("goodput_kbps", f.goodputKbps)
         .set("bytes", std::uint64_t(f.bytes))
         .set("content_ok", f.contentOk)
         .set("complete", f.bytes >= f.spec.totalBytes)
@@ -757,17 +727,13 @@ MetricRow chaosRow(const ScenarioSpec& spec, const FlowRunResult& r) {
         .set("fault_bytes", r.faultBytes)
         .set("fault_goodput_kbps", faultKbps)
         .set("recover_s", r.timeToRecoverS)
-        .set("frames_tx", r.framesTransmitted);
-    // Routing-repair keys exist only under self-healing, so the legacy chaos
-    // rows (and their golden artifacts) keep their exact schema.
-    if (spec.topology.selfHealing) {
-        row.set("reroutes", r.mesh.reroutes)
-            .set("failbacks", r.mesh.failbacks)
-            .set("blackhole_drops", r.mesh.blackholeDrops)
-            .set("no_route_drops", r.mesh.noRouteDrops)
-            .set("forward_drops", r.mesh.forwardDrops);
-    }
-    return row.set("rng_digest", r.rngDigest);
+        .set("frames_tx", r.framesTransmitted)
+        .set("reroutes", r.mesh.reroutes)
+        .set("failbacks", r.mesh.failbacks)
+        .set("blackhole_drops", r.mesh.blackholeDrops)
+        .set("no_route_drops", r.mesh.noRouteDrops)
+        .set("forward_drops", r.mesh.forwardDrops)
+        .set("rng_digest", r.rngDigest);
 }
 
 MetricRow anemometerRow(const harness::AnemometerResult& r) {
@@ -806,13 +772,13 @@ MetricRow runScenario(const ScenarioSpec& spec, std::uint64_t seed) {
     switch (spec.workload.kind) {
         case WorkloadKind::kEmbeddedBulk: return bulkRow(spec, runEmbeddedBulk(spec, seed));
         case WorkloadKind::kAnemometer: return anemometerRow(runAnemometerSpec(spec, seed));
-        case WorkloadKind::kMultiFlow: return multiFlowRow(spec, runMultiFlow(spec, seed));
+        case WorkloadKind::kMultiFlow: return multiFlowRow(runMultiFlow(spec, seed));
         default: break;
     }
     // Chaos scenarios keep their schema (reconnects, recover_s, ...) even at
     // the fault=0 baseline, so every row of the `fault` axis matches.
     const FlowRunResult r = runFlows(spec, seed);
-    if (spec.fault.chaos) return chaosRow(spec, r);
+    if (spec.fault.chaos) return chaosRow(r);
     if (spec.workload.kind == WorkloadKind::kTwoFlow) return twoFlowRow(spec, r);
     if (spec.workload.kind == WorkloadKind::kSleepyBulk) return sleepyRow(r);
     return bulkRow(spec, r);

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 
 #include "tcplp/scenario/metrics.hpp"
 #include "tcplp/scenario/spec.hpp"
@@ -26,18 +27,14 @@ tcp::TcpConfig moteTcpConfig(std::uint16_t mss = 462, std::size_t segments = 4);
 /// Cloud/server profile: 16 KiB buffers.
 tcp::TcpConfig serverTcpConfig(std::uint16_t mss = 462);
 
-/// MSS (payload bytes) that makes a mote->cloud TCP segment occupy exactly
-/// `frames` 802.15.4 frames (§6.1's sweep axis).
-std::uint16_t mssForFrames(std::size_t frames);
-
 /// Resolves the spec's MSS knobs (mssFrames wins over mssBytes).
 std::uint16_t resolveMss(const WorkloadSpec& w);
 
 /// Which end of a flow a TCP endpoint is (see endpointConfig).
 struct EndpointRole {
-    /// resolveMss(w), resolved once per run: mssForFrames encodes hundreds
-    /// of trial segments, and their buffers would show in the run's
-    /// slab-pool counters.
+    /// resolveMss(w), resolved once per run: harness::mssForFrames encodes
+    /// hundreds of trial segments, and their buffers would show in the
+    /// run's slab-pool counters.
     std::uint16_t mss = 462;
     bool mote = true;    // mote profile, else the 16 KiB server profile
     bool sender = true;  // the bulk sender, else the receiver
@@ -75,8 +72,7 @@ ScenarioSpec grid200DenseSpec(sim::Time duration = 90 * sim::kSecond);
 
 /// City-scale grid: `nodes` mesh nodes (default 1,024) with 24 saturating
 /// mixed-direction flows spread evenly across the grid — the megascale
-/// single-core stress the slab-pooled datapath was built for. Emits the
-/// datapath counter row keys (datapathCounters=true).
+/// single-core stress the slab-pooled datapath was built for.
 ScenarioSpec cityScaleSpec(sim::Time duration = 30 * sim::kSecond,
                            std::size_t nodes = 1024);
 
@@ -84,8 +80,8 @@ ScenarioSpec cityScaleSpec(sim::Time duration = 30 * sim::kSecond,
 // --- raw forms; runScenario flattens them into a MetricRow) --------------
 
 /// Mesh-layer routing/repair counters summed over every mesh node of a
-/// testbed. Self-healing scenario rows surface these; counters stay zero
-/// under the legacy static-route regime.
+/// testbed. Bulk and chaos rows surface these; the repair counters stay
+/// zero under the static-route regime (TopologySpec::selfHealing off).
 struct MeshRouteTotals {
     std::uint64_t noRouteDrops = 0;
     std::uint64_t forwardDrops = 0;
@@ -96,9 +92,8 @@ struct MeshRouteTotals {
 MeshRouteTotals meshRouteTotals(const harness::Testbed& tb);
 
 /// Congestion-window dynamics of one sender over a run: summary stats from
-/// the cwnd tracer hook plus the strategy's loss-response counters.
-/// Collected (and surfaced as row keys) only when TopologySpec::ccMetrics,
-/// so legacy rows and their golden artifacts are unchanged.
+/// the cwnd tracer hook plus the strategy's loss-response counters. Bulk
+/// and two-flow rows surface these.
 struct CcDynamics {
     std::uint32_t cwndMin = 0;
     std::uint32_t cwndMax = 0;
@@ -110,7 +105,7 @@ struct CcDynamics {
 
 /// Datapath perf counters collected over one run (deltas for the
 /// process-wide counters, so sequential runs in one process don't bleed
-/// into each other). Surfaced as row keys when datapathCounters is set.
+/// into each other). Multi-flow rows surface these.
 struct DatapathCounters {
     std::uint64_t poolRecycled = 0;        // storage blocks served from free lists
     std::uint64_t poolFresh = 0;           // storage blocks that hit the heap
@@ -148,7 +143,9 @@ struct FlowRunResult {
         /// The sender's stats; under chaos summed over every reconnect
         /// session (counters only, no RTT samples).
         tcp::TcpStats stats{};
-        CcDynamics cc{};  // only with TopologySpec::ccMetrics
+        /// Plain TcpSocket senders only: empty for chaos flows (a reconnecting
+        /// sender spans many sockets) and for runEmbeddedBulk.
+        std::optional<CcDynamics> cc;
         int reconnects = 0;  // chaos: completed re-establishments
         int reconnectAttempts = 0;
     };

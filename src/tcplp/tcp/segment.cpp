@@ -77,9 +77,12 @@ PacketBuffer Segment::encode() const {
         TCPLP_ASSERT(sackBlocks.size() <= 3);
         put8(kOptSack);
         put8(std::uint8_t(2 + sackBlocks.size() * 8));
-        for (const SackBlock& b : sackBlocks) {
-            put32(b.begin);
-            put32(b.end);
+        // The constant bound restates the assert for the compiler, which
+        // cannot carry it into the loop and would otherwise warn that the
+        // writes may run past `out`.
+        for (std::size_t i = 0; i < sackBlocks.size() && i < 3; ++i) {
+            put32(sackBlocks[i].begin);
+            put32(sackBlocks[i].end);
         }
     }
     while ((n - optStart) % 4 != 0) put8(kOptNop);

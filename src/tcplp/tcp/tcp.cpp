@@ -62,6 +62,13 @@ std::uint32_t TcpSocket::cwndCap() const {
     return cap;
 }
 
+void TcpSocket::checkInvariants() const {
+#ifndef NDEBUG
+    TCPLP_ASSERT(seqLe(tcb_.sndUna, tcb_.sndNxt));
+    TCPLP_ASSERT(tcb_.cwnd <= cwndCap());
+#endif
+}
+
 std::uint8_t TcpSocket::desiredRcvShift() const {
     // Cover the largest window this socket could ever advertise: the
     // autotune ceiling when set, the fixed buffer otherwise.
@@ -180,6 +187,7 @@ std::size_t TcpSocket::unsentBytes() const {
 }
 
 void TcpSocket::output() {
+    const InvariantCheck check{*this};
     switch (tcb_.state) {
         case State::kSynSent: {
             sendSegment(tcb_.iss, 0, false, true);
@@ -550,6 +558,7 @@ void TcpSocket::beginPassiveOpen(const Segment& syn, const ip6::Address& peer) {
 }
 
 void TcpSocket::input(const Segment& seg, ip6::Ecn ipEcn) {
+    const InvariantCheck check{*this};
     ++stats_.segsReceived;
     if (tcb_.state == State::kClosed || tcb_.state == State::kFailed) return;
     notePeerActivity();

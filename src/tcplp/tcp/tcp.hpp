@@ -220,6 +220,16 @@ private:
     void exitFastRecovery(Seq ack);
     void traceCwnd();
     std::uint32_t cwndCap() const;
+    /// Debug builds check sndUna <= sndNxt (in sequence space) and
+    /// cwnd <= cwndCap(); Release builds compile the checks out, as the
+    /// buffers' own accounting checks are.
+    void checkInvariants() const;
+    /// Runs checkInvariants when an input segment or an output pass ends,
+    /// whichever way it returns.
+    struct InvariantCheck {
+        const TcpSocket& socket;
+        ~InvariantCheck() { socket.checkInvariants(); }
+    };
 
     // Window scaling + receiver-side SWS avoidance + autotuning.
     /// The shift we offer in WSopt: smallest shift whose 16-bit window can

@@ -1,10 +1,12 @@
-// The cc shootout axis and the ccMetrics row schema.
+// The cc shootout axis and the row contract that carries its metrics.
 //
 // Pins the three cross-layer guarantees of the pluggable-CC work:
 //
-//  1. Schema gating: the cwnd-dynamics keys exist exactly when
-//     TopologySpec::ccMetrics is set, so legacy rows (and their golden
-//     artifacts) are byte-identical.
+//  1. Row contract: a row's keys depend only on the runner that produced
+//     it. Every plain-TcpSocket bulk and two-flow row carries the
+//     cwnd-dynamics keys; chaos and embedded rows never do; bulk and chaos
+//     rows carry the routing-repair keys; multi-flow rows the datapath
+//     counters.
 //
 //  2. Determinism: a shootout point is a pure function of (spec, seed) for
 //     every strategy, and the cc knob changes the simulation it names.
@@ -13,6 +15,9 @@
 //     delivers strictly higher goodput than stock NewReno — the same gate
 //     CI enforces on BENCH_cc.json.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "tcplp/scenario/metrics.hpp"
 #include "tcplp/scenario/spec.hpp"
@@ -34,7 +39,6 @@ ScenarioSpec lossyLineSpec(tcp::CcKind cc, double loss) {
     s.topology.queueCapacityPackets = 24;
     s.topology.maxFrameRetries = 1;
     s.topology.linkLoss = loss;
-    s.topology.ccMetrics = true;
     s.workload.totalBytes = 100000;
     s.workload.windowSegments = 12;
     s.workload.mssFrames = 3;
@@ -43,19 +47,83 @@ ScenarioSpec lossyLineSpec(tcp::CcKind cc, double loss) {
     return s;
 }
 
-/// A small bulk run for schema checks: two motes one hop apart.
-ScenarioSpec smallPairSpec(bool ccMetrics) {
+using Keys = std::vector<std::string>;
+
+/// cc_name plus the six cwnd-dynamics keys, each with `suffix`.
+Keys ccKeys(const std::string& suffix) {
+    Keys keys{"cc_name"};
+    for (const char* stem : {"cwnd_min", "cwnd_max", "cwnd_mean", "ssthresh_final",
+                             "loss_cuts", "cuts_skipped"})
+        keys.push_back(stem + suffix);
+    return keys;
+}
+
+Keys concat(Keys a, const Keys& b) {
+    a.insert(a.end(), b.begin(), b.end());
+    return a;
+}
+
+const Keys kRouteKeys{"no_route_drops", "forward_drops", "reroutes", "failbacks",
+                      "blackhole_drops"};
+const Keys kDatapathKeys{"pool_recycled",          "pool_fresh",
+                         "pool_bytes_recycled",    "pool_bytes_fresh",
+                         "smallfn_heap_fallbacks", "prepend_fallbacks",
+                         "neighbor_rebuilds",      "neighbor_revalidations"};
+
+/// The keys one runner's rows must carry, and the keys they must not.
+struct RowContract {
+    const char* runner;
+    ScenarioSpec spec;
+    Keys present;
+    Keys absent;
+};
+
+/// A small bulk run: two motes one hop apart.
+ScenarioSpec pairSpec() {
     ScenarioSpec s;
     s.topology.kind = TopologyKind::kPair;
-    s.topology.ccMetrics = ccMetrics;
     s.workload.totalBytes = 4000;
     s.workload.timeLimit = 30 * sim::kSecond;
     return s;
 }
 
-const char* const kCcKeys[] = {"cc_name",        "cwnd_min",  "cwnd_max",
-                               "cwnd_mean",      "ssthresh_final",
-                               "loss_cuts",      "cuts_skipped"};
+ScenarioSpec twoFlowSpec() {
+    ScenarioSpec s;
+    s.topology.hops = 1;
+    s.topology.retryDelayMax = sim::fromMillis(40);
+    s.topology.queueCapacityPackets = 7;
+    s.workload.kind = WorkloadKind::kTwoFlow;
+    s.workload.totalBytes = 20000;
+    s.workload.timeLimit = 30 * sim::kSecond;
+    return s;
+}
+
+/// A uIP stop-and-wait client.
+ScenarioSpec embeddedSpec() {
+    ScenarioSpec s;
+    s.workload.kind = WorkloadKind::kEmbeddedBulk;
+    s.workload.mssFrames = 0;
+    s.workload.totalBytes = 3000;
+    s.workload.timeLimit = 5 * sim::kMinute;
+    return s;
+}
+
+std::vector<RowContract> rowContracts() {
+    ScenarioSpec chaos;  // the clean chaos baseline: chaos schema, no faults
+    chaos.topology.hops = 2;
+    chaos.workload.totalBytes = 20000;
+    chaos.workload.timeLimit = 5 * sim::kMinute;
+    chaos.fault.chaos = true;
+
+    return {
+        {"pair bulk", pairSpec(), concat(kRouteKeys, ccKeys("")), {}},
+        {"two-flow", twoFlowSpec(), concat(ccKeys("_a"), ccKeys("_b")), {"cwnd_min"}},
+        {"embedded", embeddedSpec(), kRouteKeys, ccKeys("")},
+        {"chaos", chaos, concat(kRouteKeys, {"reconnects"}), ccKeys("")},
+        {"multi-flow", officeMultiflowSpec(15 * sim::kSecond), kDatapathKeys,
+         ccKeys("")},
+    };
+}
 
 TEST(CcShootout, CcFromAxisMapsTheCanonicalValues) {
     EXPECT_EQ(ccFromAxis(0.0), tcp::CcKind::kNewReno);
@@ -63,44 +131,57 @@ TEST(CcShootout, CcFromAxisMapsTheCanonicalValues) {
     EXPECT_EQ(ccFromAxis(2.0), tcp::CcKind::kWestwood);
 }
 
-TEST(CcShootout, BulkRowsCarryCcKeysOnlyWhenTheSpecOptsIn) {
-    const MetricRow gated = runScenario(smallPairSpec(true), 3);
-    for (const char* key : kCcKeys)
-        EXPECT_NE(gated.find(key), nullptr) << key;
-    EXPECT_EQ(gated.str("cc_name"), "newreno");
-    // A clean short run never cuts and its window summary is sane.
-    EXPECT_GE(gated.number("cwnd_max"), gated.number("cwnd_min"));
-    EXPECT_GE(gated.number("cwnd_mean"), gated.number("cwnd_min"));
+TEST(CcShootout, RowKeysDependOnlyOnTheRunner) {
+    for (const RowContract& c : rowContracts()) {
+        SCOPED_TRACE(c.runner);
+        const MetricRow row = runScenario(c.spec, 3);
+        for (const std::string& key : c.present) EXPECT_NE(row.find(key), nullptr) << key;
+        for (const std::string& key : c.absent) EXPECT_EQ(row.find(key), nullptr) << key;
+    }
+}
 
-    const MetricRow legacy = runScenario(smallPairSpec(false), 3);
-    for (const char* key : kCcKeys)
-        EXPECT_EQ(legacy.find(key), nullptr) << key;
-    // The knob only adds keys; the simulation itself is untouched.
-    EXPECT_EQ(legacy.number("rng_digest"), gated.number("rng_digest"));
-    EXPECT_EQ(legacy.number("goodput_kbps"), gated.number("goodput_kbps"));
+/// A clean short run's window summary for one flow is sane.
+void expectSaneCwnd(const MetricRow& row, const std::string& suffix) {
+    EXPECT_GE(row.number("cwnd_max" + suffix), row.number("cwnd_min" + suffix));
+    EXPECT_GE(row.number("cwnd_mean" + suffix), row.number("cwnd_min" + suffix));
+    EXPECT_LE(row.number("cwnd_mean" + suffix), row.number("cwnd_max" + suffix));
+}
+
+TEST(CcShootout, BulkRowsCarryCcKeysOnlyWhenTheSpecOptsIn) {
+    // A spec opts in by picking a runner that drives a plain TcpSocket
+    // sender; the uIP client of an embedded bulk run does not.
+    ScenarioSpec pair = pairSpec();
+    const MetricRow row = runScenario(pair, 3);
+    for (const std::string& key : ccKeys("")) EXPECT_NE(row.find(key), nullptr) << key;
+    EXPECT_EQ(row.str("cc_name"), "newreno");
+    expectSaneCwnd(row, "");
+
+    const MetricRow embedded = runScenario(embeddedSpec(), 3);
+    for (const std::string& key : ccKeys("")) EXPECT_EQ(embedded.find(key), nullptr) << key;
+
+    // The always-on probe chains the spec's own tracer and only adds keys:
+    // a traced run reports the same row as an untraced one.
+    int traced = 0;
+    pair.workload.cwndTracer = [&traced](sim::Time, std::uint32_t, std::uint32_t) {
+        ++traced;
+    };
+    const MetricRow withTracer = runScenario(pair, 3);
+    EXPECT_GT(traced, 0);
+    EXPECT_EQ(toCanonicalJsonLine(withTracer), toCanonicalJsonLine(row));
 }
 
 TEST(CcShootout, TwoFlowRowsCarrySuffixedCcKeysWhenGated) {
-    ScenarioSpec s;
-    s.topology.hops = 1;
-    s.topology.retryDelayMax = sim::fromMillis(40);
-    s.topology.queueCapacityPackets = 7;
-    s.topology.ccMetrics = true;
-    s.workload.kind = WorkloadKind::kTwoFlow;
-    s.workload.totalBytes = 20000;
-    s.workload.timeLimit = 30 * sim::kSecond;
-    const MetricRow row = runScenario(s, 2);
+    // runFlows drives both two-flow senders as plain TcpSockets, so the row
+    // carries one suffixed cc summary per flow and no unsuffixed one.
+    const MetricRow row = runScenario(twoFlowSpec(), 2);
     for (const char* suffix : {"_a", "_b"}) {
-        for (const char* stem : {"cwnd_min", "cwnd_max", "cwnd_mean",
-                                 "ssthresh_final", "loss_cuts", "cuts_skipped"})
-            EXPECT_NE(row.find(std::string(stem) + suffix), nullptr)
-                << stem << suffix;
+        SCOPED_TRACE(suffix);
+        for (const std::string& key : ccKeys(suffix))
+            EXPECT_NE(row.find(key), nullptr) << key;
+        expectSaneCwnd(row, suffix);
     }
-
-    s.topology.ccMetrics = false;
-    const MetricRow legacy = runScenario(s, 2);
-    EXPECT_EQ(legacy.find("cwnd_min_a"), nullptr);
-    EXPECT_EQ(legacy.number("rng_digest"), row.number("rng_digest"));
+    EXPECT_EQ(row.str("cc_name"), "newreno");
+    EXPECT_EQ(row.find("cwnd_min"), nullptr);
 }
 
 TEST(CcShootout, EveryStrategyIsDeterministicPerSpecAndSeed) {

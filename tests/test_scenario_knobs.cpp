@@ -319,9 +319,6 @@ TEST(ScenarioKnobs, RunnerSpecificKnobsAreRejectedElsewhere) {
     ScenarioSpec multi = shortOffice();
     multi.workload.totalBytes = 1000;  // each FlowSpec carries its own size
     EXPECT_NE(rejection(multi).find("workload.totalBytes"), std::string::npos);
-    ScenarioSpec counters;
-    counters.topology.datapathCounters = true;
-    EXPECT_NE(rejection(counters).find("topology.datapathCounters"), std::string::npos);
     ScenarioSpec office = twoFlow();
     office.topology.kind = TopologyKind::kOffice;
     EXPECT_NE(rejection(office).find("topology.kind"), std::string::npos);

@@ -318,7 +318,7 @@ TEST(ScenarioEquivalence, BulkEngineReplaysPreRefactorRngStream_Sec72Path) {
             old.hops = hops;
             old.totalBytes = 15000;
             old.retryDelayMax = sim::fromMillis(40);
-            old.mss = mssForFrames(5);
+            old.mss = harness::mssForFrames(5);
             old.windowSegments = 4;
             old.seed = seed;
             const reference::BulkResult expected = reference::runBulkTransfer(old);
@@ -345,7 +345,7 @@ TEST(ScenarioEquivalence, BulkEngineReplaysPreRefactorRngStream_Downlink) {
     old.hops = 1;
     old.totalBytes = 12000;
     old.retryDelayMax = 0;
-    old.mss = mssForFrames(5);
+    old.mss = harness::mssForFrames(5);
     old.uplink = false;
     old.seed = 3;
     const reference::BulkResult expected = reference::runBulkTransfer(old);
