@@ -23,26 +23,7 @@ ScenarioDef def() {
     d.bind = [](ScenarioSpec& s, const Point& p) {
         s.workload.uplink = p.value("uplink") != 0;
     };
-    // Custom measure: the standard sleepy row plus the 500 ms-bucket RTT
-    // histogram the figure plots.
-    d.measure = [](const ScenarioSpec& spec, const Point& p) {
-        const scenario::FlowRunResult r = scenario::runFlows(spec, p.seed);
-        const Summary& rtt = r.flows.front().stats.rttSamples;
-        scenario::MetricRow row;
-        row.set("goodput_kbps", r.flows.front().goodputKbps)
-            .set("rtt_n", std::uint64_t(rtt.count()))
-            .set("rtt_median_ms", rtt.median())
-            .set("rtt_p10_ms", rtt.percentile(10))
-            .set("rtt_p90_ms", rtt.percentile(90))
-            .set("rtt_max_ms", rtt.max());
-        std::string hist;
-        for (std::size_t count : rtt.histogram(0.0, 8000.0, 16)) {
-            if (!hist.empty()) hist += ',';
-            hist += std::to_string(count);
-        }
-        row.set("rtt_hist_500ms", hist).set("rng_digest", r.rngDigest);
-        return row;
-    };
+    // The sleepy row's rtt_hist_500ms is the histogram the figure plots.
     d.present = [](const SweepResult& r) {
         for (const auto& record : r.records) {
             const auto& row = record.row;

@@ -19,12 +19,12 @@ ScenarioDef def() {
         s.topology.hops = std::size_t(p.value("hops"));
         if (stack < 2) {
             // uIP negotiates 4-frame segments in some studies; classic
-            // deployments used 1 frame. Table 7's headline rows: 1-frame MSS.
+            // deployments used 1 frame. Table 7's headline rows: the
+            // embedded client's 1-frame (60 B) MSS.
             s.workload.kind = WorkloadKind::kEmbeddedBulk;
             s.workload.mssFrames = 0;  // the TCPlp server's MSS: 462 B
             s.workload.embeddedProfile = stack == 0 ? transport::EmbeddedProfile::kUip
                                                     : transport::EmbeddedProfile::kBlip;
-            s.workload.embeddedMss = 60;
             s.workload.totalBytes = s.topology.hops == 1 ? 20000 : 8000;
             s.workload.timeLimit = 60 * sim::kMinute;
         } else {

@@ -1,6 +1,6 @@
 // App-level connection survival for the chaos workloads: a bulk sender that
 // reconnects with deterministic exponential backoff when its connection
-// fails, and a goodput meter that tolerates the resulting resumed sessions.
+// fails (app::GoodputMeter follows the resulting resumed sessions).
 //
 // The paper's deployment argument (§9) is that TCP's failure handling plus a
 // thin application layer is enough for multi-week LLN lifetimes: when R2
@@ -23,16 +23,11 @@
 
 namespace tcplp::app {
 
-/// Saturating pattern-byte sender that survives connection failures.
+/// Saturating pattern-byte sender that survives connection failures: the
+/// n-th replacement connection opens after min(2 s x 2^(n-1), 30 s), and
+/// the sender gives up after 8 of them.
 class ReconnectingBulkSender {
 public:
-    struct Policy {
-        bool reconnect = true;
-        sim::Time backoffInitial = 2 * sim::kSecond;
-        sim::Time backoffMax = 30 * sim::kSecond;
-        int maxReconnects = 8;
-    };
-
     /// Fires just before each (re)connect with the absolute stream offset
     /// the new session resumes at — the receiver-side meter aligns its
     /// pattern check through this (the rigs run in one process, standing in
@@ -41,13 +36,13 @@ public:
 
     ReconnectingBulkSender(tcp::TcpStack& stack, tcp::TcpConfig config,
                            ip6::Address dst, std::uint16_t port,
-                           std::size_t totalBytes, Policy policy)
+                           std::size_t totalBytes, bool reconnect)
         : stack_(stack),
           config_(config),
           dst_(dst),
           port_(port),
           total_(totalBytes),
-          policy_(policy) {}
+          reconnect_(reconnect) {}
 
     void setOnSession(SessionHook hook) { onSession_ = std::move(hook); }
 
@@ -104,8 +99,9 @@ private:
         while (base_ + offered_ < total_) {
             const std::size_t chunk =
                 std::min<std::size_t>(512, total_ - base_ - offered_);
-            const Bytes data = patternBytes(base_ + offered_, chunk);
-            const std::size_t n = socket_->send(data);
+            std::uint8_t data[512];
+            patternBytesInto(base_ + offered_, chunk, data);
+            const std::size_t n = socket_->send(BytesView(data, chunk));
             if (n == 0) return;
             offered_ += n;
         }
@@ -123,15 +119,14 @@ private:
         // ignored by demux); destroying it here would free the object whose
         // callback frame we may be inside.
         socket_ = nullptr;
-        if (!policy_.reconnect || attempts_ >= policy_.maxReconnects ||
-            base_ >= total_) {
+        if (!reconnect_ || attempts_ >= kMaxReconnects || base_ >= total_) {
             gaveUp_ = base_ < total_;
             return;
         }
         ++attempts_;
-        sim::Time backoff = policy_.backoffInitial;
-        for (int i = 1; i < attempts_ && backoff < policy_.backoffMax; ++i)
-            backoff = std::min(backoff * 2, policy_.backoffMax);
+        sim::Time backoff = kBackoffInitial;
+        for (int i = 1; i < attempts_ && backoff < kBackoffMax; ++i)
+            backoff = std::min(backoff * 2, kBackoffMax);
         stack_.simulator().schedule(backoff, [this] {
             if (socket_ == nullptr) open();
         });
@@ -155,12 +150,16 @@ private:
         into.keepAliveGiveUps += s.keepAliveGiveUps;
     }
 
+    static constexpr sim::Time kBackoffInitial = 2 * sim::kSecond;
+    static constexpr sim::Time kBackoffMax = 30 * sim::kSecond;
+    static constexpr int kMaxReconnects = 8;
+
     tcp::TcpStack& stack_;
     tcp::TcpConfig config_;
     ip6::Address dst_;
     std::uint16_t port_;
     std::size_t total_;
-    Policy policy_;
+    bool reconnect_;
     SessionHook onSession_;
 
     tcp::TcpSocket* socket_ = nullptr;
@@ -171,63 +170,6 @@ private:
     int reconnects_ = 0;
     bool gaveUp_ = false;
     tcp::TcpStats dead_;  // summed stats of every failed session
-};
-
-/// Receiver-side meter for reconnecting transfers. Each session resumes the
-/// pattern stream at the sender's acked offset, which may sit below bytes
-/// already delivered (delivered-but-unacked data is re-sent) — content is
-/// verified against the absolute pattern offset, and only bytes above the
-/// high-water mark count as fresh progress.
-class ResumableGoodputMeter {
-public:
-    explicit ResumableGoodputMeter(sim::Simulator& simulator)
-        : simulator_(simulator) {}
-
-    /// Next session's data starts at absolute stream offset `offset`.
-    void beginSession(std::size_t offset) { at_ = offset; }
-
-    /// Fires whenever the high-water mark advances, with the fresh byte
-    /// count (drives the chaos runner's recovery metrics and watchdog).
-    void setOnProgress(std::function<void(std::size_t freshBytes)> cb) {
-        onProgress_ = std::move(cb);
-    }
-
-    void onData(BytesView data) {
-        if (!started_) {
-            started_ = true;
-            first_ = simulator_.now();
-        }
-        contentOk_ = contentOk_ && matchesPattern(at_, data);
-        at_ += data.size();
-        if (at_ > highWater_) {
-            const std::size_t fresh = at_ - highWater_;
-            highWater_ = at_;
-            last_ = simulator_.now();
-            if (onProgress_) onProgress_(fresh);
-        }
-    }
-
-    /// Unique application bytes delivered (the high-water mark).
-    std::size_t bytes() const { return highWater_; }
-    bool contentOk() const { return contentOk_; }
-    sim::Time firstAt() const { return first_; }
-    sim::Time lastAt() const { return last_; }
-
-    double goodputKbps() const {
-        const sim::Time span = last_ - first_;
-        if (span <= 0) return 0.0;
-        return double(highWater_) * 8.0 / 1000.0 / sim::toSeconds(span);
-    }
-
-private:
-    sim::Simulator& simulator_;
-    std::function<void(std::size_t)> onProgress_;
-    std::size_t at_ = 0;         // absolute offset of the next expected byte
-    std::size_t highWater_ = 0;  // unique bytes delivered
-    bool contentOk_ = true;
-    bool started_ = false;
-    sim::Time first_ = 0;
-    sim::Time last_ = 0;
 };
 
 }  // namespace tcplp::app

@@ -69,9 +69,7 @@ AnemometerResult runAnemometer(const AnemometerOptions& options) {
     if (options.injectedLoss > 0.0) tb->wired().setLossRate(options.injectedLoss);
     if (options.diurnal) {
         tb->channel().setAmbientLoss(
-            [night = options.nightLoss, peak = options.peakLoss](sim::Time now, phy::NodeId) {
-                return diurnalLossAt(now, night, peak);
-            });
+            [](sim::Time now, phy::NodeId) { return diurnalLossAt(now); });
     }
 
     const std::uint16_t mss = mssForFrames(options.mssFrames);

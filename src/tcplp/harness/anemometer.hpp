@@ -35,8 +35,6 @@ struct AnemometerOptions {
     sim::Time drain = 3 * sim::kMinute;      // post-run flush, included in reliability
     double injectedLoss = 0.0;               // at the border router (§9.4)
     bool diurnal = false;                    // 24 h ambient profile (§9.5)
-    double nightLoss = 0.01;
-    double peakLoss = 0.12;
     std::size_t mssFrames = 5;               // 3 for the daytime study (§9.5)
     /// Congestion-control strategy for the sensors' TCP sockets; threaded
     /// through mesh::NodeConfig::tcpCc so the rig reads it off its node.

@@ -13,7 +13,7 @@ namespace tcplp::harness {
 Testbed::Testbed(TestbedConfig config)
     : config_(config),
       simulator_(sim::SimConfig{config.seed, config.scheduler}),
-      channel_(simulator_, config.radioRangeMeters) {
+      channel_(simulator_, kRadioRangeMeters) {
     if (config_.linkLoss > 0.0) channel_.setDefaultLoss(config_.linkLoss);
     channel_.setBitsPerSecond(config_.airBitsPerSecond);
 }
@@ -47,7 +47,7 @@ void Testbed::addBorderRouterAndCloud(phy::NodeId routerId, phy::Position pos,
     cloudConfig.role = mesh::Role::kCloudHost;
     cloud_ = std::make_unique<mesh::Node>(simulator_, nullptr, phy::NodeId(1000),
                                           phy::Position{}, cloudConfig);
-    wired_ = std::make_unique<mesh::WiredLink>(simulator_, config_.wiredOneWayDelay);
+    wired_ = std::make_unique<mesh::WiredLink>(simulator_);
     wired_->attach(border_, cloud_.get());
     border_->attachWired(wired_.get());
     cloud_->attachWired(wired_.get());
@@ -79,7 +79,7 @@ std::unique_ptr<Testbed> Testbed::pair(TestbedConfig config) {
     mesh::NodeConfig nc = config.nodeDefaults;
     nc.role = mesh::Role::kRouter;
     tb->addNode(10, phy::Position{0.0, 0.0}, nc);
-    tb->addNode(11, phy::Position{config.nodeSpacingMeters, 0.0}, nc);
+    tb->addNode(11, phy::Position{kNodeSpacingMeters, 0.0}, nc);
     tb->node(0).addRoute(11, 11);
     tb->node(1).addRoute(10, 10);
     return tb;
@@ -99,7 +99,7 @@ std::unique_ptr<Testbed> Testbed::line(std::size_t hops, TestbedConfig config) {
         const phy::NodeId id = phy::NodeId(9 + i);  // 10, 11, 12, ...
         mesh::NodeConfig nc = config.nodeDefaults;
         nc.role = mesh::Role::kRouter;
-        tb->addNode(id, phy::Position{double(i) * config.nodeSpacingMeters, 0.0}, nc);
+        tb->addNode(id, phy::Position{double(i) * kNodeSpacingMeters, 0.0}, nc);
         path.push_back(id);
     }
     tb->installLineRoutes(path);
@@ -108,7 +108,7 @@ std::unique_ptr<Testbed> Testbed::line(std::size_t hops, TestbedConfig config) {
 
 std::unique_ptr<Testbed> Testbed::office(TestbedConfig config) {
     auto tb = std::make_unique<Testbed>(config);
-    const double s = config.nodeSpacingMeters;
+    const double s = kNodeSpacingMeters;
 
     // Positions loosely following Fig. 3: node 1 (border router) at one end
     // of the office, router backbone snaking through, sensors 12-15 at the
@@ -258,7 +258,7 @@ void Testbed::installTreeRoutes() {
 std::unique_ptr<Testbed> Testbed::grid(std::size_t n, TestbedConfig config) {
     TCPLP_ASSERT(n >= 2);
     auto tb = std::make_unique<Testbed>(config);
-    const double s = config.nodeSpacingMeters;
+    const double s = kNodeSpacingMeters;
     const auto cols = std::size_t(std::ceil(std::sqrt(double(n))));
 
     const auto isLeaf = [&config](phy::NodeId id) {
@@ -298,15 +298,17 @@ std::unique_ptr<Testbed> Testbed::star(std::size_t n, TestbedConfig config) {
         mesh::NodeConfig nc = config.nodeDefaults;
         nc.role = mesh::Role::kRouter;
         tb->addNode(phy::NodeId(i + 2),
-                    phy::Position{config.nodeSpacingMeters * std::cos(angle),
-                                  config.nodeSpacingMeters * std::sin(angle)},
+                    phy::Position{kNodeSpacingMeters * std::cos(angle),
+                                  kNodeSpacingMeters * std::sin(angle)},
                     nc);
     }
     tb->installTreeRoutes();
     return tb;
 }
 
-double diurnalLossAt(sim::Time now, double nightLoss, double peakLoss) {
+double diurnalLossAt(sim::Time now) {
+    constexpr double nightLoss = 0.01;
+    constexpr double peakLoss = 0.12;
     const double hour = std::fmod(sim::toSeconds(now) / 3600.0, 24.0);
     // Office activity envelope: ramp 8-10am, plateau, fall 17-20h.
     double activity = 0.0;

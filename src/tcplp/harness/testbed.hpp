@@ -21,15 +21,17 @@
 
 namespace tcplp::harness {
 
+/// Mesh geometry of every canned topology: 10 m between neighbors at a 12 m
+/// radio range keeps adjacent nodes in range and nodes two apart out of it.
+inline constexpr double kNodeSpacingMeters = 10.0;
+inline constexpr double kRadioRangeMeters = 12.0;
+
 struct TestbedConfig {
     std::uint64_t seed = 1;
     /// Ready-queue backend for the testbed's simulator (heap or timer
     /// wheel); both fire events in the identical order — a pure perf knob.
     sim::SchedulerKind scheduler = sim::SchedulerKind::kBinaryHeap;
     mesh::NodeConfig nodeDefaults{};
-    double nodeSpacingMeters = 10.0;
-    double radioRangeMeters = 12.0;  // adjacent in range, 2-apart out of range
-    sim::Time wiredOneWayDelay = 6 * sim::kMillisecond;  // 12 ms RTT to cloud
     double linkLoss = 0.0;  // per-frame fading probability on mesh links
     /// Air bit rate for every radio frame. phy::kBitsPerSecond keeps the
     /// stock 802.15.4 symbol timing byte-for-byte; the ESP32-class link
@@ -120,9 +122,9 @@ private:
 };
 
 /// Hourly ambient loss profile for the full-day experiment (Fig. 10): low
-/// interference at night, high during working hours as humans move around
-/// the office and WiFi traffic rises.
-double diurnalLossAt(sim::Time now, double nightLoss, double peakLoss);
+/// interference at night (1%), high during working hours (12%) as humans
+/// move around the office and WiFi traffic rises.
+double diurnalLossAt(sim::Time now);
 
 /// MSS (payload bytes) that makes a mote->cloud TCP segment, timestamps on,
 /// occupy at most `frames` 802.15.4 frames (§6.1's sweep axis): the largest

@@ -13,7 +13,7 @@ void WiredLink::transfer(const Node* from, ip6::Packet packet) {
         return;
     }
     inFlight_.push_back(InFlight{to, std::move(packet)});
-    simulator_.schedule(delay_, [this] {
+    simulator_.schedule(kOneWayDelay, [this] {
         InFlight entry = std::move(inFlight_.front());
         inFlight_.pop_front();
         entry.to->wiredInput(std::move(entry.packet));

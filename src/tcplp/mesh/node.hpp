@@ -117,8 +117,7 @@ class Node;
 /// (the paper's border-router-to-EC2 path, RTT ~12 ms, §9.2).
 class WiredLink {
 public:
-    WiredLink(sim::Simulator& simulator, sim::Time oneWayDelay = 6 * sim::kMillisecond)
-        : simulator_(simulator), delay_(oneWayDelay) {}
+    explicit WiredLink(sim::Simulator& simulator) : simulator_(simulator) {}
 
     void attach(Node* a, Node* b) {
         a_ = a;
@@ -134,7 +133,7 @@ public:
 
 private:
     sim::Simulator& simulator_;
-    sim::Time delay_;
+    static constexpr sim::Time kOneWayDelay = 6 * sim::kMillisecond;
     double lossRate_ = 0.0;
     std::uint64_t dropped_ = 0;
     Node* a_ = nullptr;

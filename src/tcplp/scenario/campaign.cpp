@@ -382,6 +382,12 @@ constexpr GoldenEntry kGoldenEntries[] = {
      }},
     {"bdp_line",
      +[](ScenarioDef& d) { d.base.workload.timeLimit = 8 * sim::kSecond; }},
+    // The embedded (uIP/BLIP) runner and the sleepy runner, fixed and
+    // adaptive polling with the idle tail: pin the runners no other entry
+    // reaches. Each runs in a few tens of milliseconds.
+    {"table7_stacks", nullptr},
+    {"fig13_fixedsleep", nullptr},
+    {"fig14_adaptive", nullptr},
 };
 
 }  // namespace

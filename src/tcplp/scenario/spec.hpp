@@ -1,8 +1,8 @@
 // Declarative scenario descriptions.
 //
 // A ScenarioSpec names everything a scenario run needs: the topology
-// (line / pair / office / grid / star / pipe, with link loss, spacing and
-// queue knobs), the workload (bulk transfer, duty-cycled sleepy transfer,
+// (line / pair / office / grid / star / pipe, with link loss and queue
+// knobs), the workload (bulk transfer, duty-cycled sleepy transfer,
 // two-flow fairness, embedded-stack baseline, in-memory pipe, anemometer
 // fleet, multi-flow mix), the TCP-level knobs the paper sweeps (segment
 // size, window, feature ablations) and the fault layer. The engine in
@@ -57,10 +57,7 @@ struct TopologySpec {
     sim::SchedulerKind scheduler = sim::SchedulerKind::kBinaryHeap;
     std::size_t hops = 1;    // kLine
     std::size_t nodes = 16;  // kGrid / kStar: mesh nodes incl. border router
-    double spacingMeters = 10.0;
-    double rangeMeters = 12.0;
     double linkLoss = 0.0;
-    std::optional<sim::Time> wiredOneWayDelay;  // default: TestbedConfig's
 
     // Node knobs (applied to every mesh node; nullopt = NodeConfig default).
     std::optional<sim::Time> retryDelayMax;
@@ -87,10 +84,6 @@ struct TopologySpec {
     /// `agg` sweep axis; see aggFramesFromAxis). nullopt/1 = stock
     /// 802.15.4 one-ladder-per-frame behavior, byte-identical.
     std::optional<int> macAggFrames;
-    /// Per-node TCP receive-memory budget (mesh::NodeConfig's
-    /// tcpRecvBudgetBytes): caps how far autotuning may grow a mote-side
-    /// receive buffer. nullopt = the preset's default (0 = unbudgeted).
-    std::optional<std::size_t> tcpRecvBudgetBytes;
 
     // kPipe parameters (§8).
     sim::Time pipeOneWayDelay = 50 * sim::kMillisecond;
@@ -166,7 +159,6 @@ struct WorkloadSpec {
 
     // kEmbeddedBulk (Table 7).
     transport::EmbeddedProfile embeddedProfile = transport::EmbeddedProfile::kUip;
-    std::uint16_t embeddedMss = 60;
 
     // Appendix C: kSleepyLeaf's poll policy; kSleepyBulk's quiet tail that
     // measures the idle duty cycle.
@@ -195,19 +187,16 @@ struct FaultSpec {
     sim::FaultPlan plan{};
 
     /// App-level reconnect-with-backoff: when the sender's connection fails
-    /// (R2/persist/keep-alive give-up, or an endpoint crash), open a fresh
-    /// connection after a deterministic exponential backoff and resume the
-    /// transfer at the acked high-water mark. No RNG draws — backoff is
-    /// initial, 2x, 4x, ... capped at `reconnectBackoffMax`.
+    /// (R2/persist give-up, or an endpoint crash), open a fresh connection
+    /// after a deterministic exponential backoff and resume the transfer at
+    /// the acked high-water mark. No RNG draws — backoff is 2 s, 4 s, 8 s,
+    /// ... capped at 30 s, at most 8 reconnects (app/reconnect.hpp).
     bool reconnect = true;
-    sim::Time reconnectBackoffInitial = 2 * sim::kSecond;
-    sim::Time reconnectBackoffMax = 30 * sim::kSecond;
-    int maxReconnects = 8;
 
-    /// Mote-side TCP survival overrides (applied whenever `chaos` is set, so
-    /// the fault axis toggles only the injection, never the TCP config).
-    std::optional<int> maxRetransmits;       // lower R2 = faster dead-peer detection
-    std::optional<sim::Time> keepAliveIdle;  // nonzero enables keep-alive probes
+    /// Mote-side R2 override (applied whenever `chaos` is set, so the fault
+    /// axis toggles only the injection, never the TCP config): a lower R2
+    /// means faster dead-peer detection.
+    std::optional<int> maxRetransmits;
 
     /// Progress watchdog: fail the run (std::runtime_error, attributed by
     /// the sweep/campaign machinery) if the flow delivers nothing fresh for

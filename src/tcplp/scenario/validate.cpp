@@ -54,7 +54,7 @@ bool sleepySet(const S& s) {
 bool anemometerSet(const S& s) {
     const auto f = [](const harness::AnemometerOptions& o) {
         return std::tie(o.protocol, o.batching, o.duration, o.warmup, o.drain, o.injectedLoss,
-                        o.diurnal, o.nightLoss, o.peakLoss, o.mssFrames);
+                        o.diurnal, o.mssFrames);
     };
     return f(s.workload.anemometer) != f(harness::AnemometerOptions{});
 }
@@ -117,8 +117,7 @@ const Rule kRules[] = {
     {TOPO(kind), kindFits},
     {TOPO(hops), [](const S& s) { return on(s, TK::kLine); }},
     {TOPO(nodes), [](const S& s) { return on(s, TK::kGrid) || on(s, TK::kStar); }},
-    {TOPO(spacingMeters), radio}, {TOPO(rangeMeters), radio}, {TOPO(linkLoss), radio},
-    {TOPO(wiredOneWayDelay), [](const S& s) { return radio(s) && !on(s, TK::kPair); }},
+    {TOPO(linkLoss), radio},
     {TOPO(retryDelayMax), radio}, {TOPO(queueCapacityPackets), radio},
     {TOPO(softwareCsma), radio}, {TOPO(maxFrameRetries), radio},
     {TOPO(macPayloadBudget), radio}, {TOPO(txProcessingDelay), radio},
@@ -126,7 +125,7 @@ const Rule kRules[] = {
     {TOPO(selfHealing), radio},
     {TOPO(probeInterval), [](const S& s) { return radio(s) && s.topology.selfHealing; }},
     {TOPO(linkPreset), radio}, {TOPO(macAggFrames), radio},
-    {TOPO(tcpRecvBudgetBytes), radio}, {TOPO(pipeOneWayDelay), pipe},
+    {TOPO(pipeOneWayDelay), pipe},
     {TOPO(pipeBandwidthBps), pipe}, {TOPO(pipeLossForward), pipe},
     {TOPO(pipeLossReverse), pipe},
     {WORK(kind), notPipe}, {WORK(totalBytes), oneTransfer}, {WORK(timeLimit), oneTransfer},
@@ -142,7 +141,7 @@ const Rule kRules[] = {
      [](const S& s) { return flows(s) && !chaos(s); }},
     {"workload.deliveryTap", [](const S& s) { return bool(s.workload.deliveryTap); },
      notPipe},
-    {WORK(embeddedProfile), embedded}, {WORK(embeddedMss), embedded},
+    {WORK(embeddedProfile), embedded},
     {"workload.sleepy", sleepySet, [](const S& s) { return on(s, TK::kSleepyLeaf); }},
     {WORK(idleTail), [](const S& s) { return kind(s, WK::kSleepyBulk); }},
     {"workload.anemometer", anemometerSet, anemometer},
@@ -157,10 +156,7 @@ const Rule kRules[] = {
      }},
     {FAULT(enabled), chaos},
     {"fault.plan", [](const S& s) { return !s.fault.plan.empty(); }, chaos},
-    {FAULT(reconnect), chaos}, {FAULT(reconnectBackoffInitial), chaos},
-    {FAULT(reconnectBackoffMax), chaos}, {FAULT(maxReconnects), chaos},
-    {FAULT(maxRetransmits), chaos}, {FAULT(keepAliveIdle), chaos},
-    {FAULT(watchdogStall), chaos},
+    {FAULT(reconnect), chaos}, {FAULT(maxRetransmits), chaos}, {FAULT(watchdogStall), chaos},
 };
 
 #undef TOPO

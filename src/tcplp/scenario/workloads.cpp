@@ -84,11 +84,7 @@ harness::TestbedConfig testbedConfigFor(const TopologySpec& t, std::uint64_t see
     cfg.scheduler = t.scheduler;
     if (t.linkPreset == LinkPreset::kEsp32) applyEsp32Preset(cfg);
     if (t.macAggFrames) cfg.nodeDefaults.macConfig.aggFrames = *t.macAggFrames;
-    if (t.tcpRecvBudgetBytes) cfg.nodeDefaults.tcpRecvBudgetBytes = *t.tcpRecvBudgetBytes;
     cfg.linkLoss = t.linkLoss;
-    cfg.nodeSpacingMeters = t.spacingMeters;
-    cfg.radioRangeMeters = t.rangeMeters;
-    if (t.wiredOneWayDelay) cfg.wiredOneWayDelay = *t.wiredOneWayDelay;
     if (t.retryDelayMax) cfg.nodeDefaults.macConfig.retryDelayMax = *t.retryDelayMax;
     if (t.queueCapacityPackets)
         cfg.nodeDefaults.queueConfig.capacityPackets = *t.queueCapacityPackets;
@@ -113,7 +109,7 @@ std::unique_ptr<harness::Testbed> sleepyLeafTestbed(const harness::TestbedConfig
     lc.role = mesh::Role::kLeaf;
     lc.sleepyConfig = policy;
     lc.macConfig.sleepDuringRetryDelay = true;
-    mesh::Node& leaf = tb->addNode(10, {cfg.nodeSpacingMeters, 0.0}, lc);
+    mesh::Node& leaf = tb->addNode(10, {harness::kNodeSpacingMeters, 0.0}, lc);
     leaf.setParent(1);
     tb->borderRouter().adoptSleepyChild(10);
     tb->borderRouter().addRoute(10, 10);
@@ -392,7 +388,7 @@ FlowRunResult runFlows(const ScenarioSpec& spec, std::uint64_t seed) {
         Rig() = default;
         Rig(Rig&&) = delete;  // the sender's cwnd tracer holds &probe
         std::unique_ptr<tcp::TcpStack> moteStack, peerStack;  // peerStack: kPair only
-        std::unique_ptr<app::ResumableGoodputMeter> meter;
+        std::unique_ptr<app::GoodputMeter> meter;
         tcp::TcpSocket* sender = nullptr;  // plain flows
         std::unique_ptr<app::BulkSender> bulk;
         std::unique_ptr<app::ReconnectingBulkSender> reconnecting;  // chaos flows
@@ -413,7 +409,7 @@ FlowRunResult runFlows(const ScenarioSpec& spec, std::uint64_t seed) {
         rig.moteStack = std::make_unique<tcp::TcpStack>(*mote);
         if (pair) rig.peerStack = std::make_unique<tcp::TcpStack>(peer);
         tcp::TcpStack& peerStack = pair ? *rig.peerStack : *cloudStack;
-        rig.meter = std::make_unique<app::ResumableGoodputMeter>(simulator);
+        rig.meter = std::make_unique<app::GoodputMeter>(simulator);
         const std::uint16_t port = std::uint16_t(80 + i);
         tcp::TcpStack& senderStack = flow.uplink ? *rig.moteStack : peerStack;
         tcp::TcpStack& receiverStack = flow.uplink ? peerStack : *rig.moteStack;
@@ -422,7 +418,7 @@ FlowRunResult runFlows(const ScenarioSpec& spec, std::uint64_t seed) {
         const tcp::TcpConfig receiverCfg = endpointConfig(
             w, {mss, !flow.uplink || pair, false, receiver.config().tcpRecvBudgetBytes});
 
-        app::ResumableGoodputMeter* meter = rig.meter.get();
+        app::GoodputMeter* meter = rig.meter.get();
         receiverStack.listen(port, receiverCfg, [meter](tcp::TcpSocket& s) {
             s.setOnData([meter](BytesView d) { meter->onData(d); });
             s.setOnPeerFin([&s] { s.close(); });
@@ -430,14 +426,8 @@ FlowRunResult runFlows(const ScenarioSpec& spec, std::uint64_t seed) {
         const ip6::Address dst = flow.uplink ? peer.address() : mote->address();
         if (chaos) {
             if (f.maxRetransmits) senderCfg.maxRetransmits = *f.maxRetransmits;
-            if (f.keepAliveIdle) senderCfg.keepAliveIdle = *f.keepAliveIdle;
-            app::ReconnectingBulkSender::Policy policy;
-            policy.reconnect = f.reconnect;
-            policy.backoffInitial = f.reconnectBackoffInitial;
-            policy.backoffMax = f.reconnectBackoffMax;
-            policy.maxReconnects = f.maxReconnects;
             rig.reconnecting = std::make_unique<app::ReconnectingBulkSender>(
-                senderStack, senderCfg, dst, port, flow.totalBytes, policy);
+                senderStack, senderCfg, dst, port, flow.totalBytes, f.reconnect);
             app::ReconnectingBulkSender* sender = rig.reconnecting.get();
             sender->setOnSession([meter](std::size_t offset) { meter->beginSession(offset); });
             meter->setOnProgress([&chaos](std::size_t fresh) { chaos->onProgress(fresh); });
@@ -508,7 +498,8 @@ MultiFlowResult runMultiFlow(const ScenarioSpec& spec, std::uint64_t seed) {
     std::vector<double> goodputs;
     for (const FlowRunResult::Flow& f : run.flows) {
         const double kbps = kbpsOver(f.bytes, spec.workload.multiFlowDuration);
-        r.flows.push_back({f.spec.node, f.spec.uplink, kbps, f.stats.rttSamples.median()});
+        r.flows.push_back(
+            {f.spec.node, f.spec.uplink, kbps, f.stats.rttSamples.median(), f.cc.value()});
         r.aggregateKbps += kbps;
         goodputs.push_back(kbps);
     }
@@ -529,7 +520,6 @@ FlowRunResult runEmbeddedBulk(const ScenarioSpec& spec, std::uint64_t seed) {
     mesh::Node& mote = *tb->findNode(moteId(t));
     transport::EmbeddedTcpConfig ec;
     ec.profile = w.embeddedProfile;
-    ec.mss = w.embeddedMss;
     transport::EmbeddedTcpSocket client(mote, ec);
     tcp::TcpStack cloudStack(tb->cloud());
 
@@ -610,13 +600,23 @@ harness::AnemometerResult runAnemometerSpec(const ScenarioSpec& spec,
 
 namespace {
 
-void setCcKeys(MetricRow& row, const CcDynamics& d, const std::string& suffix) {
-    row.set("cwnd_min" + suffix, std::uint64_t(d.cwndMin))
-        .set("cwnd_max" + suffix, std::uint64_t(d.cwndMax))
-        .set("cwnd_mean" + suffix, d.cwndMean)
-        .set("ssthresh_final" + suffix, std::uint64_t(d.ssthreshFinal))
-        .set("loss_cuts" + suffix, d.lossCuts)
-        .set("cuts_skipped" + suffix, d.cutsSkipped);
+/// The six cwnd-dynamics keys, each named prefix + stem + suffix.
+void setCcKeys(MetricRow& row, const CcDynamics& d, const std::string& prefix,
+               const std::string& suffix) {
+    row.set(prefix + "cwnd_min" + suffix, std::uint64_t(d.cwndMin))
+        .set(prefix + "cwnd_max" + suffix, std::uint64_t(d.cwndMax))
+        .set(prefix + "cwnd_mean" + suffix, d.cwndMean)
+        .set(prefix + "ssthresh_final" + suffix, std::uint64_t(d.ssthreshFinal))
+        .set(prefix + "loss_cuts" + suffix, d.lossCuts)
+        .set(prefix + "cuts_skipped" + suffix, d.cutsSkipped);
+}
+
+/// A one-flow row's cc_name and unsuffixed cc keys, when its sender was a
+/// plain TcpSocket (runFlows probed it); uIP/BLIP clients report none.
+void setFlowCcKeys(MetricRow& row, const ScenarioSpec& spec, const FlowRunResult::Flow& f) {
+    if (!f.cc) return;
+    row.set("cc_name", tcp::ccName(spec.workload.cc));
+    setCcKeys(row, *f.cc, "", "");
 }
 
 /// Retransmitted share of the segments sent, times `scale`.
@@ -640,10 +640,7 @@ MetricRow bulkRow(const ScenarioSpec& spec, const FlowRunResult& r) {
         .set("reroutes", r.mesh.reroutes)
         .set("failbacks", r.mesh.failbacks)
         .set("blackhole_drops", r.mesh.blackholeDrops);
-    if (f.cc) {
-        row.set("cc_name", tcp::ccName(spec.workload.cc));
-        setCcKeys(row, *f.cc, "");
-    }
+    setFlowCcKeys(row, spec, f);
     return row.set("rng_digest", r.rngDigest);
 }
 
@@ -663,21 +660,23 @@ MetricRow twoFlowRow(const ScenarioSpec& spec, const FlowRunResult& r) {
         .set("rexmit_a_pct", rexmitShare(a.stats, 100.0))
         .set("rexmit_b_pct", rexmitShare(b.stats, 100.0))
         .set("cc_name", tcp::ccName(spec.workload.cc));
-    setCcKeys(row, *a.cc, "_a");
-    setCcKeys(row, *b.cc, "_b");
+    setCcKeys(row, *a.cc, "", "_a");
+    setCcKeys(row, *b.cc, "", "_b");
     return row.set("rng_digest", r.rngDigest);
 }
 
-MetricRow multiFlowRow(const MultiFlowResult& r) {
+MetricRow multiFlowRow(const ScenarioSpec& spec, const MultiFlowResult& r) {
     MetricRow row;
     for (std::size_t i = 0; i < r.flows.size(); ++i) {
-        const std::string p = "flow" + std::to_string(i);
-        row.set(p + "_node", std::uint64_t(r.flows[i].node))
-            .set(p + "_dir", r.flows[i].uplink ? "up" : "down")
-            .set(p + "_kbps", r.flows[i].goodputKbps)
-            .set(p + "_rtt_ms", r.flows[i].rttMedianMs);
+        const std::string p = "flow" + std::to_string(i) + "_";
+        row.set(p + "node", std::uint64_t(r.flows[i].node))
+            .set(p + "dir", r.flows[i].uplink ? "up" : "down")
+            .set(p + "kbps", r.flows[i].goodputKbps)
+            .set(p + "rtt_ms", r.flows[i].rttMedianMs);
+        setCcKeys(row, r.flows[i].cc, p, "");
     }
-    row.set("aggregate_kbps", r.aggregateKbps)
+    row.set("cc_name", tcp::ccName(spec.workload.cc))
+        .set("aggregate_kbps", r.aggregateKbps)
         .set("jain_fairness", r.jainFairness)
         .set("frames_tx", r.framesTransmitted)
         .set("listener_visits", r.listenerVisits);
@@ -693,19 +692,27 @@ MetricRow multiFlowRow(const MultiFlowResult& r) {
         .set("rng_digest", r.rngDigest);
 }
 
-MetricRow sleepyRow(const FlowRunResult& r) {
+MetricRow sleepyRow(const ScenarioSpec& spec, const FlowRunResult& r) {
     const FlowRunResult::Flow& f = r.flows.front();
     const Summary& rtt = f.stats.rttSamples;
+    // Appendix C's RTT distribution (Fig. 13): 16 buckets of 500 ms.
+    std::string hist;
+    for (std::size_t count : rtt.histogram(0.0, 8000.0, 16)) {
+        if (!hist.empty()) hist += ',';
+        hist += std::to_string(count);
+    }
     MetricRow row;
-    return row.set("goodput_kbps", f.goodputKbps)
+    row.set("goodput_kbps", f.goodputKbps)
         .set("bytes", f.bytes)
         .set("rtt_n", rtt.count())
         .set("rtt_median_ms", rtt.median())
         .set("rtt_p10_ms", rtt.percentile(10))
         .set("rtt_p90_ms", rtt.percentile(90))
         .set("rtt_max_ms", rtt.max())
-        .set("idle_radio_dc", r.idleRadioDc)
-        .set("rng_digest", r.rngDigest);
+        .set("rtt_hist_500ms", hist)
+        .set("idle_radio_dc", r.idleRadioDc);
+    setFlowCcKeys(row, spec, f);
+    return row.set("rng_digest", r.rngDigest);
 }
 
 MetricRow chaosRow(const FlowRunResult& r) {
@@ -772,7 +779,7 @@ MetricRow runScenario(const ScenarioSpec& spec, std::uint64_t seed) {
     switch (spec.workload.kind) {
         case WorkloadKind::kEmbeddedBulk: return bulkRow(spec, runEmbeddedBulk(spec, seed));
         case WorkloadKind::kAnemometer: return anemometerRow(runAnemometerSpec(spec, seed));
-        case WorkloadKind::kMultiFlow: return multiFlowRow(runMultiFlow(spec, seed));
+        case WorkloadKind::kMultiFlow: return multiFlowRow(spec, runMultiFlow(spec, seed));
         default: break;
     }
     // Chaos scenarios keep their schema (reconnects, recover_s, ...) even at
@@ -780,7 +787,7 @@ MetricRow runScenario(const ScenarioSpec& spec, std::uint64_t seed) {
     const FlowRunResult r = runFlows(spec, seed);
     if (spec.fault.chaos) return chaosRow(r);
     if (spec.workload.kind == WorkloadKind::kTwoFlow) return twoFlowRow(spec, r);
-    if (spec.workload.kind == WorkloadKind::kSleepyBulk) return sleepyRow(r);
+    if (spec.workload.kind == WorkloadKind::kSleepyBulk) return sleepyRow(spec, r);
     return bulkRow(spec, r);
 }
 

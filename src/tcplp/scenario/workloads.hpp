@@ -92,8 +92,8 @@ struct MeshRouteTotals {
 MeshRouteTotals meshRouteTotals(const harness::Testbed& tb);
 
 /// Congestion-window dynamics of one sender over a run: summary stats from
-/// the cwnd tracer hook plus the strategy's loss-response counters. Bulk
-/// and two-flow rows surface these.
+/// the cwnd tracer hook plus the strategy's loss-response counters. Bulk,
+/// two-flow, sleepy and multi-flow rows surface these.
 struct CcDynamics {
     std::uint32_t cwndMin = 0;
     std::uint32_t cwndMax = 0;
@@ -123,6 +123,7 @@ struct MultiFlowResult {
         bool uplink = true;
         double goodputKbps = 0.0;
         double rttMedianMs = 0.0;
+        CcDynamics cc{};
     };
     std::vector<Flow> flows;
     double aggregateKbps = 0.0;

@@ -670,7 +670,7 @@ void TcpSocket::input(const Segment& seg, ip6::Ecn ipEcn) {
         seqGe(seg.timestamps->value, tcb_.tsRecent))
         tcb_.tsRecent = seg.timestamps->value;
 
-    if (config_.headerPrediction) tryHeaderPrediction(seg);
+    tryHeaderPrediction(seg);
 
     if (tcb_.state == State::kSynReceived) {
         if (seqGt(seg.ack, tcb_.sndUna) && seqLe(seg.ack, tcb_.sndMax)) {
@@ -738,18 +738,6 @@ void TcpSocket::processAck(const Segment& seg) {
         if (!dup) return;
         ++stats_.dupAcksReceived;
         ++tcb_.dupAcks;
-        if (config_.limitedTransmit && tcb_.dupAcks <= 2 && unsentBytes() > 0) {
-            // RFC 3042: each of the first two dup ACKs releases one new
-            // segment (within the receiver window), keeping the ACK clock
-            // alive so fast retransmit can trigger.
-            const std::uint32_t flight = std::uint32_t(tcb_.sndNxt - tcb_.sndUna);
-            const std::size_t len = std::min<std::size_t>(tcb_.mss, unsentBytes());
-            if (flight + len <= tcb_.sndWnd) {
-                sendSegment(tcb_.sndNxt, len, false, false);
-                tcb_.sndNxt += std::uint32_t(len);
-                tcb_.sndMax = seqMax(tcb_.sndMax, tcb_.sndNxt);
-            }
-        }
         if (tcb_.dupAcks == 3) {
             enterFastRecovery();
         } else if (tcb_.dupAcks > 3 && tcb_.inFastRecovery) {

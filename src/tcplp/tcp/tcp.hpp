@@ -43,7 +43,6 @@ struct TcpConfig {
     bool sack = true;
     bool timestamps = true;
     bool ecn = false;
-    bool headerPrediction = true;
     /// Ablation: discard out-of-order segments instead of holding them in
     /// the in-place reassembly queue (how uIP/BLIP behave, Table 1).
     bool dropOutOfOrder = false;
@@ -78,12 +77,6 @@ struct TcpConfig {
     /// Lets the send buffer hold application backlog (§9.2: "an additional
     /// 40 readings fit in TCP's send buffer") beyond the window.
     std::uint32_t cwndCapBytes = 0;
-    /// RFC 3042 limited transmit: send one new segment on each of the first
-    /// two duplicate ACKs. Helps fast retransmit trigger with small windows
-    /// on clean paths, but adds traffic during recovery — off by default in
-    /// the LLN configuration (the extra frames worsen self-interference on
-    /// multihop 802.15.4 paths).
-    bool limitedTransmit = false;
     /// Congestion-control strategy (tcp/congestion.hpp). kNewReno is the
     /// paper's stock behavior and replays the pre-strategy engine
     /// byte-for-byte; the wireless variants change only the loss response.

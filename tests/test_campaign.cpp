@@ -375,7 +375,7 @@ TEST(Campaign, GoldenSubsetCoversTheCuratedScenariosWhenLinked) {
     // CLI diffs the registered subset against it so a dropped driver fails
     // loudly instead of silently shrinking the corpus check.
     const std::vector<std::string> names = goldenSubsetNames();
-    ASSERT_EQ(names.size(), 15u);
+    ASSERT_EQ(names.size(), 18u);
     EXPECT_EQ(names.front(), "sweep_smoke");
-    EXPECT_EQ(names.back(), "bdp_line");
+    EXPECT_EQ(names.back(), "fig14_adaptive");
 }

@@ -3,10 +3,10 @@
 // Pins the three cross-layer guarantees of the pluggable-CC work:
 //
 //  1. Row contract: a row's keys depend only on the runner that produced
-//     it. Every plain-TcpSocket bulk and two-flow row carries the
-//     cwnd-dynamics keys; chaos and embedded rows never do; bulk and chaos
-//     rows carry the routing-repair keys; multi-flow rows the datapath
-//     counters.
+//     it. Every plain-TcpSocket bulk, two-flow, sleepy and multi-flow row
+//     carries the cwnd-dynamics keys (per flow, prefixed, on multi-flow
+//     rows); chaos and embedded rows never do; bulk and chaos rows carry
+//     the routing-repair keys; multi-flow rows the datapath counters.
 //
 //  2. Determinism: a shootout point is a pure function of (spec, seed) for
 //     every strategy, and the cc knob changes the simulation it names.
@@ -49,12 +49,23 @@ ScenarioSpec lossyLineSpec(tcp::CcKind cc, double loss) {
 
 using Keys = std::vector<std::string>;
 
+const Keys kCwndStems{"cwnd_min",       "cwnd_max",  "cwnd_mean",
+                      "ssthresh_final", "loss_cuts", "cuts_skipped"};
+
 /// cc_name plus the six cwnd-dynamics keys, each with `suffix`.
 Keys ccKeys(const std::string& suffix) {
     Keys keys{"cc_name"};
-    for (const char* stem : {"cwnd_min", "cwnd_max", "cwnd_mean", "ssthresh_final",
-                             "loss_cuts", "cuts_skipped"})
-        keys.push_back(stem + suffix);
+    for (const std::string& stem : kCwndStems) keys.push_back(stem + suffix);
+    return keys;
+}
+
+/// A multi-flow row's cc keys: cc_name once, the six keys per flow under
+/// the flow<i>_ prefix.
+Keys flowCcKeys(std::size_t flows) {
+    Keys keys{"cc_name"};
+    for (std::size_t i = 0; i < flows; ++i)
+        for (const std::string& stem : kCwndStems)
+            keys.push_back("flow" + std::to_string(i) + "_" + stem);
     return keys;
 }
 
@@ -98,6 +109,18 @@ ScenarioSpec twoFlowSpec() {
     return s;
 }
 
+/// A duty-cycled leaf (Appendix C's adaptive poll) with its idle tail.
+ScenarioSpec sleepySpec() {
+    ScenarioSpec s;
+    s.topology.kind = TopologyKind::kSleepyLeaf;
+    s.workload.kind = WorkloadKind::kSleepyBulk;
+    s.workload.sleepy.policy = mac::PollPolicy::kAdaptive;
+    s.workload.totalBytes = 4000;
+    s.workload.timeLimit = 2 * sim::kMinute;
+    s.workload.idleTail = 30 * sim::kSecond;
+    return s;
+}
+
 /// A uIP stop-and-wait client.
 ScenarioSpec embeddedSpec() {
     ScenarioSpec s;
@@ -120,8 +143,10 @@ std::vector<RowContract> rowContracts() {
         {"two-flow", twoFlowSpec(), concat(ccKeys("_a"), ccKeys("_b")), {"cwnd_min"}},
         {"embedded", embeddedSpec(), kRouteKeys, ccKeys("")},
         {"chaos", chaos, concat(kRouteKeys, {"reconnects"}), ccKeys("")},
-        {"multi-flow", officeMultiflowSpec(15 * sim::kSecond), kDatapathKeys,
-         ccKeys("")},
+        {"sleepy", sleepySpec(),
+         concat(ccKeys(""), {"rtt_hist_500ms", "idle_radio_dc"}), {}},
+        {"multi-flow", officeMultiflowSpec(15 * sim::kSecond),
+         concat(kDatapathKeys, flowCcKeys(4)), kCwndStems},
     };
 }
 

@@ -175,17 +175,15 @@ TEST(Anemometer, HeavyInjectedLossBreaksCocoaBeforeCoap) {
 }
 
 TEST(DiurnalModel, LossHigherDuringWorkingHours) {
-    const double night = harness::diurnalLossAt(3 * sim::kHour, 0.01, 0.12);
+    const double night = harness::diurnalLossAt(3 * sim::kHour);
     EXPECT_LE(night, 0.95);  // may be a burst bucket
     // Compare the non-burst baseline by sampling several offsets.
     double nightMin = 1.0, noonMin = 1.0;
     for (int i = 0; i < 20; ++i) {
-        nightMin = std::min(nightMin,
-                            harness::diurnalLossAt(3 * sim::kHour + i * 977 * sim::kMillisecond,
-                                                   0.01, 0.12));
-        noonMin = std::min(noonMin,
-                           harness::diurnalLossAt(12 * sim::kHour + i * 977 * sim::kMillisecond,
-                                                  0.01, 0.12));
+        nightMin = std::min(
+            nightMin, harness::diurnalLossAt(3 * sim::kHour + i * 977 * sim::kMillisecond));
+        noonMin = std::min(
+            noonMin, harness::diurnalLossAt(12 * sim::kHour + i * 977 * sim::kMillisecond));
     }
     EXPECT_LT(nightMin, noonMin);
     EXPECT_NEAR(nightMin, 0.01, 0.005);
