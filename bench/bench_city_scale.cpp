@@ -14,6 +14,10 @@
 // city_listener_visits_per_frame counts the candidate radios the channel
 // examines per transmitted frame: the spatial index keeps it near the
 // neighbourhood size at any node count, where a linear scan reads ~N-1.
+// city_events_per_frame and grid200_events_per_frame divide the simulator's
+// fired events by the channel's frames: the engine's deterministic work per
+// radio frame (one delivery event per transmission that also drops the
+// carrier, one SPI-readout event per transmission instant).
 //
 // Heap discipline is measured with the shared counting operator new
 // (bench/alloc_count.hpp): the
@@ -144,6 +148,9 @@ ScenarioDef def() {
         const double cityFrames = city ? city->number("frames_tx") : 0.0;
         const double visitsPerFrame =
             cityFrames > 0.0 ? city->number("listener_visits") / cityFrames : 0.0;
+        const auto eventsPerFrame = [](const scenario::MetricRow* row) {
+            return row ? row->number("sim_events_per_frame") : 0.0;
+        };
         std::printf("\n");
         std::printf(
             "{\"bench\":\"city_scale\",\"nodes\":%zu,\"flows\":24,"
@@ -152,6 +159,7 @@ ScenarioDef def() {
             "\"city_steady_allocs_per_frame\":%.4f,"
             "\"city_total_allocs_per_frame\":%.4f,"
             "\"city_listener_visits_per_frame\":%.2f,"
+            "\"city_events_per_frame\":%.3f,\"grid200_events_per_frame\":%.3f,"
             "\"pool_recycled\":%.0f,\"pool_fresh\":%.0f,"
             "\"neighbor_rebuilds\":%.0f,\"smallfn_heap_fallbacks\":%.0f,"
             "\"prepend_fallbacks\":%.0f,"
@@ -160,6 +168,7 @@ ScenarioDef def() {
             city ? city->number("frames_per_sec") : 0.0,
             city ? city->number("steady_allocs_per_frame") : 0.0,
             city ? city->number("total_allocs_per_frame") : 0.0, visitsPerFrame,
+            eventsPerFrame(city), eventsPerFrame(rows[1]),
             city ? city->number("pool_recycled") : 0.0,
             city ? city->number("pool_fresh") : 0.0,
             city ? city->number("neighbor_rebuilds") : 0.0,

@@ -41,7 +41,7 @@ struct AnemometerOptions {
     tcp::CcKind cc = tcp::CcKind::kNewReno;
     std::uint64_t seed = 1;
     /// Simulator ready-queue backend (pure perf knob; identical results).
-    sim::SchedulerKind scheduler = sim::SchedulerKind::kBinaryHeap;
+    sim::SchedulerKind scheduler = sim::SchedulerKind::kTimerWheel;
     /// Optional delivery-log tap installed on the testbed channel.
     phy::Channel::DeliveryTap deliveryTap;
 };

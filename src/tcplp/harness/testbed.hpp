@@ -30,7 +30,7 @@ struct TestbedConfig {
     std::uint64_t seed = 1;
     /// Ready-queue backend for the testbed's simulator (heap or timer
     /// wheel); both fire events in the identical order — a pure perf knob.
-    sim::SchedulerKind scheduler = sim::SchedulerKind::kBinaryHeap;
+    sim::SchedulerKind scheduler = sim::SchedulerKind::kTimerWheel;
     mesh::NodeConfig nodeDefaults{};
     double linkLoss = 0.0;  // per-frame fading probability on mesh links
     /// Air bit rate for every radio frame. phy::kBitsPerSecond keeps the

@@ -154,11 +154,6 @@ void CsmaMac::backoffTimerStart(sim::Time backoff) {
     });
 }
 
-void CsmaMac::waitThen(sim::Time delay, std::function<void()> fn) {
-    waitHandle_.cancel();
-    waitHandle_ = simulator().schedule(delay, std::move(fn));
-}
-
 void CsmaMac::transmitCurrent() {
     TCPLP_ASSERT(current_);
     radio_.transmit(current_->frame, [this](bool radiated) {

@@ -25,6 +25,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <utility>
 
 #include "tcplp/common/ring_deque.hpp"
 #include "tcplp/phy/radio.hpp"
@@ -182,7 +183,13 @@ private:
     void startNext();
     void csmaAttempt();
     void backoffTimerStart(sim::Time backoff);
-    void waitThen(sim::Time delay, std::function<void()> fn);
+    /// Replaces the pending MAC wait with `fn`, `delay` from now. The
+    /// closure goes straight into the event record's SmallFn.
+    template <typename F>
+    void waitThen(sim::Time delay, F&& fn) {
+        waitHandle_.cancel();
+        waitHandle_ = simulator().schedule(delay, std::forward<F>(fn));
+    }
     void transmitCurrent();
     void ackTimedOut();
     void scheduleRetry(SendOp& op);

@@ -196,30 +196,40 @@ double Channel::lossFor(NodeId src, NodeId dst, sim::Time now) const {
     return p;
 }
 
-void Channel::startTransmission(Radio* transmitter, const Frame& frame) {
+bool Channel::startTransmission(Radio* transmitter, const Frame& frame, bool endsCarrier) {
     ++framesTransmitted_;
     const std::uint64_t txId = nextTxId_++;
     const sim::Time air = frameAirTime(frame);
     const sim::Time end = simulator_.now() + air;
-    active_.push_back(Transmission{txId, transmitter, frame, end});
+    const bool linear = effectiveMode() == DeliveryMode::kLinearScan;
+
+    // A frame that joins the pending batch for its end tick opens no event,
+    // so it cannot end its carrier through one.
+    Batch* pending = nullptr;
+    if (!linear) {
+        for (Batch& b : batches_) {
+            if (b.end == end) {
+                pending = &b;
+                endsCarrier = false;
+                break;
+            }
+        }
+    }
+    active_.push_back(Transmission{txId, transmitter, frame, end, endsCarrier});
 
     // Let every other in-range radio react to the rising carrier.
     forEachCandidate(transmitter, [&](Radio* r) {
         if (inRange(r, transmitter)) r->airStarted(txId);
     });
 
-    if (effectiveMode() == DeliveryMode::kLinearScan) {
+    if (linear) {
         // Frozen seed behavior: one delivery event per transmission.
         simulator_.schedule(air, [this, txId] { deliverOne(txId); });
-        return;
+        return endsCarrier;
     }
-
-    // Coalesce into the pending batch for this end tick, or open one.
-    for (Batch& b : batches_) {
-        if (b.end == end) {
-            b.txIds.push_back(txId);
-            return;
-        }
+    if (pending != nullptr) {
+        pending->txIds.push_back(txId);
+        return false;
     }
     Batch batch;
     batch.end = end;
@@ -230,6 +240,7 @@ void Channel::startTransmission(Radio* transmitter, const Frame& frame) {
     batch.txIds.push_back(txId);
     batches_.push_back(std::move(batch));
     simulator_.schedule(air, [this, end] { deliverBatch(end); });
+    return endsCarrier;
 }
 
 Channel::Transmission Channel::retireActive(std::uint64_t txId) {
@@ -253,8 +264,48 @@ void Channel::deliverTransmission(const Transmission& tx) {
         if (deliveryTap_)
             deliveryTap_(simulator_.now(), tx.transmitter->id(), r->id(),
                          tx.frame.mpduBytes(), faded);
-        r->airFinished(tx.txId, tx.frame, faded);
+        if (const auto readout = r->airFinished(tx.txId, tx.frame, faded))
+            queueReadout(r, tx.frame, simulator_.now() + *readout);
     });
+    openReadout_ = kNoGroup;
+}
+
+void Channel::queueReadout(Radio* listener, const Frame& frame, sim::Time at) {
+    // Join the open group only if no event for its instant was scheduled
+    // since it opened: that event would fire between separate readouts.
+    if (openReadout_ != kNoGroup && openReadoutAt_ == at && !simulator_.fenceCrossed()) {
+        ReadoutGroup& open = readoutGroups_[openReadout_];
+        if (open.size < ReadoutGroup::kCapacity) {
+            open.radios[open.size++] = listener;
+            return;
+        }
+    }
+    std::uint32_t index = freeReadoutGroup_;
+    if (index == kNoGroup) {
+        index = std::uint32_t(readoutGroups_.size());
+        readoutGroups_.emplace_back();
+    } else {
+        freeReadoutGroup_ = readoutGroups_[index].nextFree;
+    }
+    ReadoutGroup& group = readoutGroups_[index];
+    group.frame = frame;
+    group.radios[0] = listener;
+    group.size = 1;
+    simulator_.scheduleAt(at, [this, index] { fireReadout(index); });
+    simulator_.fenceInstant(at);
+    openReadout_ = index;
+    openReadoutAt_ = at;
+}
+
+void Channel::fireReadout(std::uint32_t index) {
+    // Only delivery events grow the pool, so the reference holds while the
+    // receive callbacks run.
+    ReadoutGroup& group = readoutGroups_[index];
+    for (std::uint32_t i = 0; i < group.size; ++i) group.radios[i]->readOut(group.frame);
+    group.size = 0;
+    group.frame = Frame{};  // release the payload with the last readout
+    group.nextFree = freeReadoutGroup_;
+    freeReadoutGroup_ = index;
 }
 
 void Channel::deliverOne(std::uint64_t txId) {
@@ -263,6 +314,7 @@ void Channel::deliverOne(std::uint64_t txId) {
     // sees the carrier down.
     const Transmission tx = retireActive(txId);
     deliverTransmission(tx);
+    if (tx.endsCarrier) tx.transmitter->carrierEnded();
 }
 
 void Channel::deliverBatch(sim::Time end) {
@@ -289,7 +341,11 @@ void Channel::deliverBatch(sim::Time end) {
     // Deliver in txId (= start) order; listeners in ascending NodeId order,
     // so the per-listener RNG draws replay identically in both modes.
     for (const Transmission& tx : deliverScratch_) deliverTransmission(tx);
+    // Only the batch's opener (its first txId) can own the event's carrier end.
+    const Transmission& opener = deliverScratch_.front();
+    Radio* const carrierOwner = opener.endsCarrier ? opener.transmitter : nullptr;
     deliverScratch_.clear();
+    if (carrierOwner != nullptr) carrierOwner->carrierEnded();
 }
 
 }  // namespace tcplp::phy

@@ -56,9 +56,30 @@
 // in transmission-id order. Active transmissions are keyed by a unique txId;
 // the old (transmitter, end-time) linear erase could match the wrong entry
 // when one transmitter had two frames ending at the same tick.
+//
+// ## One event per frame edge
+//
+// Folding same-instant work into fewer events must not move any event's
+// (when, seq) order, so each fold applies only where the separate events
+// would have fired back to back:
+//
+//  * Carrier end. The transmitter's air-end falls at its delivery event's
+//    instant with the very next seq, so the delivery event a transmission
+//    opens also drops its carrier (Radio::carrierEnded), after delivering.
+//    A frame that joins a pending batch is not adjacent and keeps its own
+//    air-end event.
+//  * SPI readout. The listeners of one transmission schedule their readouts
+//    back to back, in NodeId order. A readout joins the group opened for
+//    its instant, and the group's one event runs them all with the seq of
+//    its first member, unless another event for that instant was scheduled
+//    after the group opened (Simulator::fenceInstant) — e.g. a hardware
+//    auto-ACK whose 192 us turnaround equals the readout time, which must
+//    fire between the readouts. Then the readout opens a fresh group. Groups
+//    close when their transmission's delivery ends.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <unordered_map>
@@ -104,8 +125,10 @@ public:
     /// Below this many radios kAuto stays on the linear scan.
     static constexpr std::size_t kAutoLinearThreshold = 20;
 
-    explicit Channel(sim::Simulator& simulator, double range = 12.0)
-        : simulator_(simulator), range_(range) {}
+    Channel(sim::Simulator& simulator, double range)
+        : simulator_(simulator), range_(range) {
+        readoutGroups_.reserve(kReadoutGroupsReserved);
+    }
 
     sim::Simulator& simulator() { return simulator_; }
     double range() const { return range_; }
@@ -175,8 +198,13 @@ public:
         std::function<void(sim::Time, NodeId, NodeId, std::size_t, bool)>;
     void setDeliveryTap(DeliveryTap tap) { deliveryTap_ = std::move(tap); }
 
-    /// Called by a radio when its carrier actually starts radiating.
-    void startTransmission(Radio* transmitter, const Frame& frame);
+    /// Called by a radio when its carrier actually starts radiating. With
+    /// `endsCarrier`, a transmission that opens its own delivery event (one
+    /// per frame on the linear scan, one per end tick when batched) has that
+    /// event call transmitter->carrierEnded() after delivering, and returns
+    /// true; a frame that joins a pending batch returns false and the radio
+    /// schedules its own air-end.
+    bool startTransmission(Radio* transmitter, const Frame& frame, bool endsCarrier = false);
 
     /// Clear-channel assessment at `listener`: true if no audible carrier.
     bool clearAt(const Radio* listener) const;
@@ -202,7 +230,23 @@ private:
         Radio* transmitter;
         Frame frame;
         sim::Time end;
+        bool endsCarrier;  // its delivery event drops the transmitter's carrier
     };
+    /// Listeners of one transmission whose SPI readouts end at the same
+    /// instant, read out by one pooled event in NodeId order. A full group
+    /// makes the next readout open another: splitting a group is always
+    /// exact, and fixed-size groups keep readouts free of allocations.
+    struct ReadoutGroup {
+        static constexpr std::size_t kCapacity = 16;
+        Frame frame;
+        std::array<Radio*, kCapacity> radios{};
+        std::uint32_t size = 0;
+        std::uint32_t nextFree = 0;
+    };
+    /// Groups the constructor sets aside, so that steady-state runs with up
+    /// to this many readout instants in flight never grow the pool.
+    static constexpr std::size_t kReadoutGroupsReserved = 16;
+    static constexpr std::uint32_t kNoGroup = ~std::uint32_t(0);
     /// Transmissions whose carriers drop at the same tick share one pooled
     /// delivery event; the txIds are appended in ascending order.
     struct Batch {
@@ -269,6 +313,8 @@ private:
     bool blackedOut(NodeId src, NodeId dst) const;
     Transmission retireActive(std::uint64_t txId);
     void deliverTransmission(const Transmission& tx);
+    void queueReadout(Radio* listener, const Frame& frame, sim::Time at);
+    void fireReadout(std::uint32_t group);
     void deliverBatch(sim::Time end);
     void deliverOne(std::uint64_t txId);
 
@@ -295,6 +341,10 @@ private:
     std::vector<Batch> batches_;                        // pending, small
     std::vector<std::vector<std::uint64_t>> batchPool_; // recycled id vectors
     std::vector<Transmission> deliverScratch_;          // reused per batch
+    std::vector<ReadoutGroup> readoutGroups_;  // addressed by index
+    std::uint32_t freeReadoutGroup_ = kNoGroup;  // head of the free list
+    std::uint32_t openReadout_ = kNoGroup;  // joinable while its tx delivers
+    sim::Time openReadoutAt_ = 0;
     std::uint64_t nextTxId_ = 1;
     std::uint64_t framesTransmitted_ = 0;
     std::uint64_t framesCollided_ = 0;

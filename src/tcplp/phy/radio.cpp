@@ -105,13 +105,18 @@ void Radio::radiate(const Frame& frame, std::function<void()> airDone) {
     // airDone_ is necessarily empty here: it is only non-empty while a
     // carrier is up (state kTx), and that state is asserted away above.
     airDone_ = std::move(airDone);
-    channel_.startTransmission(this, frame);
-    simulator_.schedule(channel_.frameAirTime(frame), [this] {
-        changeState(idleState());
-        auto cb = std::move(airDone_);
-        airDone_ = nullptr;
-        if (cb) cb();
-    });
+    // When this transmission opens its own delivery event, that event ends
+    // the carrier as well: a separate air-end event would fire at the same
+    // instant with the very next seq.
+    if (channel_.startTransmission(this, frame, /*endsCarrier=*/true)) return;
+    simulator_.schedule(channel_.frameAirTime(frame), [this] { carrierEnded(); });
+}
+
+void Radio::carrierEnded() {
+    changeState(idleState());
+    auto cb = std::move(airDone_);
+    airDone_ = nullptr;
+    if (cb) cb();
 }
 
 void Radio::airStarted(std::uint64_t txId) {
@@ -133,14 +138,15 @@ void Radio::airStarted(std::uint64_t txId) {
     }
 }
 
-void Radio::airFinished(std::uint64_t txId, const Frame& frame, bool faded) {
-    if (rxTxId_ != txId) return;  // we were not locked onto this frame
+std::optional<sim::Time> Radio::airFinished(std::uint64_t txId, const Frame& frame,
+                                            bool faded) {
+    if (rxTxId_ != txId) return std::nullopt;  // we were not locked onto this frame
     const bool corrupted = rxCorrupted_ || faded;
     if (rxCorrupted_) channel_.noteCollision();
     rxTxId_ = 0;
     rxCorrupted_ = false;
     if (state_ == RadioState::kRx) changeState(idleState());
-    if (corrupted) return;
+    if (corrupted) return std::nullopt;
 
     ++framesReceived_;
 
@@ -167,17 +173,12 @@ void Radio::airFinished(std::uint64_t txId, const Frame& frame, bool faded) {
     }
 
     // SPI readout before the MAC sees the bytes (ACK frames are consumed by
-    // the transceiver front-end without a readout).
+    // the transceiver front-end without a readout). The channel schedules
+    // it, sharing one event among the listeners whose readouts coincide.
     const sim::Time readout =
         (frame.type == FrameType::kAck) ? 32 : spiTime(frame.mpduBytes());
     energy_.addCpuBusy(readout);
-    // Init-capture: a plain `[this, frame]` capture of the const-reference
-    // parameter would give the closure a `const Frame` member, whose "move"
-    // is a copy — init-capture deduces a mutable Frame, keeping the closure
-    // nothrow-move-constructible and inside SmallFn's inline storage.
-    simulator_.schedule(readout, [this, frame = frame] {
-        if (receiveCallback_) receiveCallback_(frame);
-    });
+    return readout;
 }
 
 }  // namespace tcplp::phy

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <functional>
+#include <optional>
 
 #include "tcplp/phy/channel.hpp"
 #include "tcplp/phy/energy.hpp"
@@ -87,8 +88,17 @@ public:
 
     // --- Channel-facing interface -------------------------------------
     void airStarted(std::uint64_t txId);
-    void airCollided();
-    void airFinished(std::uint64_t txId, const Frame& frame, bool corrupted);
+    /// Ends this radio's reception attempt on `txId`. When the frame was
+    /// received, returns the SPI readout delay after which the channel must
+    /// hand it to readOut(); nothing otherwise.
+    std::optional<sim::Time> airFinished(std::uint64_t txId, const Frame& frame, bool faded);
+    /// The end of the SPI readout: the MAC sees the frame.
+    void readOut(const Frame& frame) {
+        if (receiveCallback_) receiveCallback_(frame);
+    }
+    /// Drops this radio's carrier at the end of its frame's air time and
+    /// runs the transmit completion.
+    void carrierEnded();
 
     std::uint64_t framesSent() const { return framesSent_; }
     std::uint64_t framesReceived() const { return framesReceived_; }

@@ -138,8 +138,11 @@ bool isTimingField(const std::string& key) {
     // "_allocs_per_frame" counts global operator-new calls, which are a
     // perf observable of the build (stdlib growth policies, inlining), not
     // of the simulated behavior — stripped like the wall-clock fields.
+    // "_events_per_frame" is the engine's work per radio frame: an exact
+    // engine change that fires fewer events in the same order must not
+    // move a golden row.
     static const char* kSuffixes[] = {"_per_sec", "_ns_per_event", "_wall_ms",
-                                      "_allocs_per_frame"};
+                                      "_allocs_per_frame", "_events_per_frame"};
     for (const char* suffix : kSuffixes) {
         const std::size_t n = std::char_traits<char>::length(suffix);
         if (key.size() > n && key.compare(key.size() - n, n, suffix) == 0) return true;

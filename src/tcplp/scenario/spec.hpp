@@ -54,7 +54,7 @@ struct TopologySpec {
     /// wheel). Both fire events in the identical (when, seq) order, so this
     /// is a pure perf axis — sweeps grid over it via the `scheduler` axis
     /// (0 = heap, 1 = wheel; see schedulerFromAxis).
-    sim::SchedulerKind scheduler = sim::SchedulerKind::kBinaryHeap;
+    sim::SchedulerKind scheduler = sim::SchedulerKind::kTimerWheel;
     std::size_t hops = 1;    // kLine
     std::size_t nodes = 16;  // kGrid / kStar: mesh nodes incl. border router
     double linkLoss = 0.0;

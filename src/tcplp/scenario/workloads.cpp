@@ -488,6 +488,7 @@ FlowRunResult runFlows(const ScenarioSpec& spec, std::uint64_t seed) {
     r.datapath.prependFallbacks = PacketBuffer::stats().prependFallbacks - prependBase;
     r.datapath.neighborRebuilds = tb->channel().channelStats().neighborRebuilds;
     r.datapath.neighborRevalidations = tb->channel().channelStats().neighborRevalidations;
+    r.datapath.eventsFired = simulator.stats().fired;
     r.rngDigest = simulator.rng().stateDigest();
     return r;
 }
@@ -689,6 +690,9 @@ MetricRow multiFlowRow(const ScenarioSpec& spec, const MultiFlowResult& r) {
         .set("prepend_fallbacks", d.prependFallbacks)
         .set("neighbor_rebuilds", d.neighborRebuilds)
         .set("neighbor_revalidations", d.neighborRevalidations)
+        .set("sim_events_per_frame",
+             r.framesTransmitted > 0 ? double(d.eventsFired) / double(r.framesTransmitted)
+                                     : 0.0)
         .set("rng_digest", r.rngDigest);
 }
 

@@ -115,6 +115,7 @@ struct DatapathCounters {
     std::uint64_t prependFallbacks = 0;      // PacketBuffer::prepend slow paths
     std::uint64_t neighborRebuilds = 0;      // candidate-cache full rebuilds
     std::uint64_t neighborRevalidations = 0; // epoch-diff hits (no rebuild)
+    std::uint64_t eventsFired = 0;           // simulator events run
 };
 
 struct MultiFlowResult {

@@ -5,19 +5,20 @@
 // Scheduler: the structure that answers "which pending event fires next?".
 // Two backends implement the same total order (when, then scheduling seq):
 //
-//  * HeapScheduler — the indexed binary heap from PR 1. Cancellation removes
-//    the entry eagerly (no lazy tombstones) and a pending event can be
-//    re-sorted in place in O(log n), which is what Timer::start does on
-//    re-arm.
-//
-//  * TimerWheel — a hierarchical timing wheel (Varghese & Lauck), 4 levels x
-//    64 slots with a ~1 ms tick (1024 us, so tick extraction is a shift) and
-//    an overflow list for deadlines beyond the top level's horizon
-//    (64^4 ticks ~= 4.8 hours of simulated time). Insert, cancel and re-arm are O(1) list splices;
-//    finding the next event scans a 64-bit occupancy mask per level. The
+//  * TimerWheel (the SimConfig default) — a hierarchical timing wheel
+//    (Varghese & Lauck), 4 levels x 64 slots with a ~1 ms tick (1024 us, so
+//    tick extraction is a shift) and an overflow list for deadlines beyond
+//    the top level's horizon (64^4 ticks ~= 4.8 hours of simulated time).
+//    Insert, cancel and re-arm are O(1) list splices; finding the next
+//    event scans a 64-bit occupancy mask per level. The
 //    protocol workload — RTO, delayed-ACK, persist, CSMA backoff and
 //    sleepy-MAC poll timers clustering at a handful of deadlines — is
 //    exactly the regime where the wheel beats the heap's log-n re-sorting.
+//
+//  * HeapScheduler — an indexed binary heap. Cancellation removes the entry
+//    eagerly (no lazy tombstones) and a pending event can be re-sorted in
+//    place in O(log n), which is what Timer::start does on re-arm. It stays
+//    as the `scheduler` sweep axis and as the wheel's differential oracle.
 //
 // Both backends are exact: events fire in identical (when, seq) order, so a
 // Simulator produces bit-identical runs (same RNG draw sequence, same

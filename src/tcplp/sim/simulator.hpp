@@ -13,12 +13,13 @@
 // event.
 //
 // Ordering is delegated to a Scheduler backend (sim/scheduler.hpp), selected
-// per Simulator via SimConfig: the indexed binary heap (default — eager
-// cancellation, O(log n) in-place reschedule) or the hierarchical TimerWheel
-// (O(1) insert/cancel/re-arm; built for the timer-storm workloads where
-// RTO/delayed-ACK/persist/poll deadlines cluster). Both backends fire events
-// in the identical (when, seq) total order, so runs are bit-identical
-// across backends.
+// per Simulator via SimConfig: the hierarchical TimerWheel (default — O(1)
+// insert/cancel/re-arm; built for the timer-storm workloads where
+// RTO/delayed-ACK/persist/poll deadlines cluster) or the indexed binary heap
+// (eager cancellation, O(log n) in-place reschedule), kept as the
+// `scheduler` sweep axis and the wheel's differential oracle. Both backends
+// fire events in the identical (when, seq) total order, so runs are
+// bit-identical across backends.
 //
 // Lifetime: an EventHandle (and any Timer) must not be used after its
 // Simulator is destroyed. Every component in this codebase owns a
@@ -46,7 +47,7 @@ class Simulator;
 /// Per-simulation configuration: the RNG seed and the ready-queue backend.
 struct SimConfig {
     std::uint64_t seed = 1;
-    SchedulerKind scheduler = SchedulerKind::kBinaryHeap;
+    SchedulerKind scheduler = SchedulerKind::kTimerWheel;
 };
 
 /// Cancellable handle to a scheduled event. Copies share the same event:
@@ -84,7 +85,7 @@ struct SchedulerStats {
 
 class Simulator {
 public:
-    explicit Simulator(std::uint64_t seed = 1) : Simulator(SimConfig{seed, {}}) {}
+    explicit Simulator(std::uint64_t seed = 1) : Simulator(SimConfig{seed}) {}
     explicit Simulator(const SimConfig& config)
         : rng_(config.seed), sched_(makeScheduler(config.scheduler, pool_)) {
         // Frame-storage recycler for this simulation: every PacketBuffer
@@ -116,6 +117,7 @@ public:
         rec.fn = SmallFn(std::forward<F>(fn));
         rec.when = when;
         rec.seq = nextSeq_++;
+        if (when == fenceAt_) fenceCrossed_ = true;
         sched_->push(slot);
         ++stats_.scheduled;
         return EventHandle(this, slot, rec.generation);
@@ -133,10 +135,22 @@ public:
         detail::EventRecord& rec = pool_.record(handle.slot_);
         rec.when = when;
         rec.seq = nextSeq_++;  // re-armed events fire after existing same-time events
+        if (when == fenceAt_) fenceCrossed_ = true;
         sched_->update(handle.slot_);
         ++stats_.rescheduled;
         return true;
     }
+
+    /// Same-instant fence, for a caller that folds callbacks bound for one
+    /// instant into a single event (phy::Channel's SPI-readout groups).
+    /// After fenceInstant(when), fenceCrossed() reports whether any event for
+    /// `when` was scheduled or re-armed since: that event's seq falls between
+    /// the folded callbacks, so folding further ones would reorder it.
+    void fenceInstant(Time when) {
+        fenceAt_ = when;
+        fenceCrossed_ = false;
+    }
+    bool fenceCrossed() const { return fenceCrossed_; }
 
     /// Runs events until the queue drains or simulated time reaches `until`.
     void runUntil(Time until) {
@@ -219,6 +233,8 @@ private:
 
     Time now_ = 0;
     std::uint64_t nextSeq_ = 0;
+    Time fenceAt_ = -1;  // no event is ever due before time 0
+    bool fenceCrossed_ = false;
     Rng rng_;
     mutable SchedulerStats stats_;
     detail::EventPool pool_;

@@ -246,3 +246,141 @@ TEST(ChannelRegression, BackToBackFramesStaggeredEndsRetireInOrder) {
     EXPECT_EQ(channel.activeTransmissionCount(), 0u);
     EXPECT_TRUE(channel.clearAt(&rx));
 }
+
+// --- One event per frame edge --------------------------------------------
+// The channel folds the transmitter's air-end into the delivery event and
+// reads same-instant listeners out through one shared event. Both folds
+// must replay the exact (time, listener, callback) order that one event per
+// listener produced, on either scheduler backend.
+
+namespace {
+
+struct Readout {
+    sim::Time at;
+    NodeId listener;
+    FrameType type;
+    std::uint64_t acksSentByDst;  // orders readouts against the auto-ACK
+    bool operator==(const Readout& o) const {
+        return at == o.at && listener == o.listener && type == o.type &&
+               acksSentByDst == o.acksSentByDst;
+    }
+};
+
+/// Transmitter 1 at the origin and `listeners` listeners in range, every
+/// receive callback logged. The frame carries `payload` bytes (MPDU =
+/// 23 + payload), so every timing below is plain arithmetic.
+struct ReadoutWorld {
+    ReadoutWorld(sim::SchedulerKind kind, std::size_t listeners)
+        : simulator(sim::SimConfig{3, kind}), channel(simulator, 12.0) {
+        for (std::size_t i = 0; i <= listeners; ++i) {
+            radios.push_back(std::make_unique<Radio>(simulator, channel, NodeId(i + 1),
+                                                     Position{double(i), 1.0}));
+        }
+        for (auto& r : radios) {
+            Radio* radio = r.get();
+            radio->setReceiveCallback([this, radio](const Frame& f) {
+                log.push_back(Readout{simulator.now(), radio->id(), f.type,
+                                      radios[dst - 1]->autoAcksSent()});
+            });
+        }
+    }
+    Radio& radio(NodeId id) { return *radios[id - 1]; }
+    /// Sends one data frame from radio 1 to `to` (kBroadcast: no ACK).
+    void send(NodeId to, std::size_t payload) {
+        dst = to == kBroadcast ? 1 : to;
+        Frame f;
+        f.src = 1;
+        f.dst = to;
+        f.ackRequest = to != kBroadcast;
+        f.payload = patternBytes(0, payload);
+        radio(1).transmit(f, [this](bool radiated) {
+            doneAt = radiated ? simulator.now() : -1;
+        });
+        simulator.run();
+    }
+
+    sim::Simulator simulator;
+    Channel channel;
+    std::vector<std::unique_ptr<Radio>> radios;
+    std::vector<Readout> log;
+    NodeId dst = 1;
+    sim::Time doneAt = -1;
+};
+
+constexpr sim::SchedulerKind kBackends[] = {sim::SchedulerKind::kBinaryHeap,
+                                            sim::SchedulerKind::kTimerWheel};
+
+}  // namespace
+
+TEST(ChannelReadout, ListenersOnDifferentSpiRatesReadOutInTimeThenNodeIdOrder) {
+    for (const sim::SchedulerKind kind : kBackends) {
+        ReadoutWorld w(kind, 4);
+        w.radio(3).setSpiMicrosPerByte(10.0);
+        // MPDU 50 B: SPI load 1050 us, air (50 + 6) * 32 = 1792 us, so the
+        // carrier drops at 2842. Readouts: 500 us at 10 us/B, 1050 at 21.
+        w.send(kBroadcast, 27);
+        const std::vector<Readout> expected{
+            {3342, 3, FrameType::kData, 0},
+            {3892, 2, FrameType::kData, 0},
+            {3892, 4, FrameType::kData, 0},
+            {3892, 5, FrameType::kData, 0},
+        };
+        EXPECT_EQ(w.log, expected) << sim::schedulerKindName(kind);
+        EXPECT_EQ(w.doneAt, 2842) << sim::schedulerKindName(kind);
+        // SPI load, delivery (which also drops the carrier), and three
+        // readout events: 2 opens one at 3892, 3 opens one at 3342, and 4
+        // opens a second one at 3892 that 5 joins.
+        EXPECT_EQ(w.simulator.stats().fired, 5u) << sim::schedulerKindName(kind);
+        EXPECT_EQ(w.radio(1).state(), RadioState::kListen);
+    }
+}
+
+TEST(ChannelReadout, AutoAckAtTheReadoutInstantSplitsTheGroup) {
+    for (const sim::SchedulerKind kind : kBackends) {
+        ReadoutWorld w(kind, 3);
+        // 24 B MPDU at 8 us/B: the readout takes exactly the 192 us ACK
+        // turnaround. Load 504 us, air 960 us: carrier down at 1464, and
+        // listener 3's auto-ACK is scheduled for 1656 between the readouts
+        // of 2 and 3 — it must fire between them, as one event per
+        // listener would have it.
+        for (NodeId id = 2; id <= 4; ++id) w.radio(id).setSpiMicrosPerByte(8.0);
+        w.send(3, 1);
+        // The ACK (5 + 6) * 32 = 352 us on air ends at 2008; ACK readout 32 us.
+        const std::vector<Readout> expected{
+            {1656, 2, FrameType::kData, 0},
+            {1656, 3, FrameType::kData, 1},
+            {1656, 4, FrameType::kData, 1},
+            {2040, 1, FrameType::kAck, 1},
+            {2040, 2, FrameType::kAck, 1},
+            {2040, 4, FrameType::kAck, 1},
+        };
+        EXPECT_EQ(w.log, expected) << sim::schedulerKindName(kind);
+        // Load, delivery, readout {2}, ACK, readout {3, 4}, ACK delivery,
+        // ACK readout {1, 2, 4}.
+        EXPECT_EQ(w.simulator.stats().fired, 7u) << sim::schedulerKindName(kind);
+        EXPECT_EQ(w.radio(3).state(), RadioState::kListen);
+    }
+}
+
+TEST(ChannelReadout, UnicastFramePlusAutoAckCostsSixEvents) {
+    for (const sim::SchedulerKind kind : kBackends) {
+        ReadoutWorld w(kind, 3);
+        w.send(3, 1);
+        // 24 B MPDU at 21 us/B: load 504, carrier down at 1464, readout
+        // 504 us; the ACK goes up at 1656 and its carrier drops at 2008.
+        const std::vector<Readout> expected{
+            {1968, 2, FrameType::kData, 1},
+            {1968, 3, FrameType::kData, 1},
+            {1968, 4, FrameType::kData, 1},
+            {2040, 1, FrameType::kAck, 1},
+            {2040, 2, FrameType::kAck, 1},
+            {2040, 4, FrameType::kAck, 1},
+        };
+        EXPECT_EQ(w.log, expected) << sim::schedulerKindName(kind);
+        EXPECT_EQ(w.doneAt, 1464) << sim::schedulerKindName(kind);
+        // SPI load, data delivery + carrier end, auto-ACK, one data readout,
+        // ACK delivery + carrier end, one ACK readout. One event per
+        // listener and per air-end made this 12.
+        EXPECT_EQ(w.simulator.stats().fired, 6u) << sim::schedulerKindName(kind);
+    }
+}

@@ -144,6 +144,22 @@ TEST(Simulator, RescheduleMovesDeadlineBothWays) {
     EXPECT_EQ(simulator.stats().rescheduled, 2u);
 }
 
+TEST(Simulator, FenceReportsOnlyEventsForItsInstant) {
+    Simulator simulator;
+    EventHandle timer = simulator.schedule(50, [] {});
+    simulator.fenceInstant(100);
+    simulator.schedule(99, [] {});
+    simulator.schedule(101, [] {});
+    EXPECT_FALSE(simulator.fenceCrossed());
+    simulator.schedule(100, [] {});
+    EXPECT_TRUE(simulator.fenceCrossed());
+    // Re-fencing clears it; a re-armed timer gets a fresh seq and crosses too.
+    simulator.fenceInstant(100);
+    EXPECT_FALSE(simulator.fenceCrossed());
+    EXPECT_TRUE(simulator.reschedule(timer, 100));
+    EXPECT_TRUE(simulator.fenceCrossed());
+}
+
 // --- Timer-storm suite, run against BOTH scheduler backends ----------------
 //
 // The binary heap and the hierarchical timer wheel must implement the exact
